@@ -23,7 +23,7 @@ import numpy as np
 
 from .counting import count_aq, count_hq, count_rough
 from .divisors import factorize, l_measure, w_count
-from .experiments import run_experiment
+from .experiments import DEFAULT_SEED, resolve_prime_set, run_experiment
 from .orderstats import (
     BarrierSpec,
     barrier_events_mc,
@@ -43,10 +43,8 @@ from .poisson import (
     partial_poisson,
     poisson_sum,
 )
-from .primes import LOG2, PrimeSet, make_prime_set
+from .primes import LOG2, PrimeSet
 from .rng import block_generator
-
-DEFAULT_SEED = 20260825
 
 # ---------------------------------------------------------------------------
 # pinned grids and tolerances (changing any of these changes what is accepted)
@@ -162,13 +160,10 @@ class Context:
     def prime_set(self, kind: str, limit: int) -> PrimeSet:
         key = (kind, limit)
         if key not in self._prime_sets:
-            if kind == "all":
-                self._prime_sets[key] = make_prime_set("all", limit)
-            elif kind == "1mod4":
-                self._prime_sets[key] = make_prime_set(
-                    "congruence", limit, modulus=4, residues=(1,))
-            else:
+            desc = {"all": "all", "1mod4": "congruence:4:1"}.get(kind)
+            if desc is None:
                 raise ValueError(f"unknown cached prime set {kind!r}")
+            self._prime_sets[key] = resolve_prime_set(desc, limit)
         return self._prime_sets[key]
 
     def fixtures(self) -> dict:

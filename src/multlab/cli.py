@@ -57,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker threads (default: MULTLAB_THREADS or 1); "
                             "results do not depend on this")
 
-    for name, fn in sorted(EXPERIMENTS.items()):
-        doc = (fn.__doc__ or "").strip().splitlines()[0]
+    for name, (body, _) in sorted(EXPERIMENTS.items()):
+        doc = (body.__doc__ or "").strip().splitlines()[0]
         p = sub.add_parser(name, help=doc)
         common(p)
         p.add_argument("--format", choices=("csv", "json"), default="csv",

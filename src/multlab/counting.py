@@ -12,11 +12,10 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .divisors import enumerate_sq
+from .divisors import _merge_log_intervals, enumerate_sq
 from .primes import LOG2, PrimeSet, sieve_primes
 
 MAX_X_BITMAP = 1 << 31
@@ -134,13 +133,17 @@ def count_hq(
         raise ValueError(f"count_hq requires x >= 1, got {x}")
     if y < 0 or z < 0:
         raise ValueError("count_hq requires y, z >= 0")
+    if method not in ("divisor-multiples", "exhaustive"):
+        raise ValueError(f"unknown count_hq method {method!r}")
+    xi = int(math.floor(x))
+    if ps.limit < xi:
+        raise ValueError(f"prime set materialized to {ps.limit} < x = {xi}")
     desc = ps.descriptor()
     if y >= z:
         return CountResult(
             0, x, y, z, desc, method, time.perf_counter() - t0,
             warning="empty divisor interval (y >= z)",
         )
-    xi = int(math.floor(x))
     d_lo = int(math.floor(y)) + 1
     d_hi = min(int(math.floor(z)), xi)
 
@@ -161,21 +164,18 @@ def count_hq(
         value = int(np.count_nonzero(marked[1:]))
         return CountResult(value, x, y, z, desc, method, time.perf_counter() - t0)
 
-    if method == "exhaustive":
-        offsets, divs = _divisor_table(xi)
-        sf = _squarefree_bitmap(xi) if squarefree_only else None
-        value = 0
-        for n in enumerate_sq(ps, xi):
-            if sf is not None and not sf[n]:
-                continue
-            lo, hi = offsets[n], offsets[n + 1]
-            row = divs[lo:hi]
-            i = int(np.searchsorted(row, d_lo))
-            if i < len(row) and row[i] <= d_hi:
-                value += 1
-        return CountResult(value, x, y, z, desc, method, time.perf_counter() - t0)
-
-    raise ValueError(f"unknown count_hq method {method!r}")
+    offsets, divs = _divisor_table(xi)
+    sf = _squarefree_bitmap(xi) if squarefree_only else None
+    value = 0
+    for n in enumerate_sq(ps, xi):
+        if sf is not None and not sf[n]:
+            continue
+        lo, hi = offsets[n], offsets[n + 1]
+        row = divs[lo:hi]
+        i = int(np.searchsorted(row, d_lo))
+        if i < len(row) and row[i] <= d_hi:
+            value += 1
+    return CountResult(value, x, y, z, desc, method, time.perf_counter() - t0)
 
 
 def count_hq_star(ps: PrimeSet, x: float, y: float, z: float,
@@ -194,6 +194,8 @@ def count_sq(ps: PrimeSet, x: float) -> int:
     return int(np.count_nonzero(_sq_bitmap(ps, xi)))
 
 
+# The cap is what keeps every product a*b <= N^2 = 1e12 inside int64.
+MAX_N_AQ = 1_000_000
 _AQ_SET_PAIR_CAP = 2_000_000
 _AQ_SEGMENT = 1 << 24
 
@@ -204,9 +206,8 @@ def count_aq(ps: PrimeSet, n_bound: int) -> CountResult:
     n_bound = int(n_bound)
     if n_bound < 1:
         raise ValueError(f"count_aq requires N >= 1, got {n_bound}")
-    if n_bound > 1_000_000:
-        raise ValueError(f"count_aq capped at N <= 1e6, got {n_bound}")
-    assert n_bound * n_bound < 2**63  # products must fit int64
+    if n_bound > MAX_N_AQ:
+        raise ValueError(f"count_aq capped at N <= {MAX_N_AQ}, got {n_bound}")
     members = np.array(enumerate_sq(ps, n_bound), dtype=np.int64)
     m = len(members)
     desc = ps.descriptor()
@@ -270,32 +271,23 @@ def count_rough(ps: PrimeSet, x: float, z: float) -> CountResult:
                        time.perf_counter() - t0)
 
 
-def _merged_log_measure(logs: list[float]) -> float:
-    """Measure of union of (t - log 2, t] over ascending t in logs."""
-    total = 0.0
-    prev_hi = -math.inf
-    for t in logs:
-        if t - LOG2 <= prev_hi + 1e-12:
-            if t > prev_hi:
-                total += t - prev_hi
-                prev_hi = t
-        else:
-            total += LOG2
-            prev_hi = t
-    return total
-
-
-def _merge_sorted(xs: list[float], ys: list[float]) -> list[float]:
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        if xs[i] <= ys[j]:
-            out.append(xs[i]); i += 1
-        else:
-            out.append(ys[j]); j += 1
-    out.extend(xs[i:])
-    out.extend(ys[j:])
-    return out
+def _squarefree_log_walk(primes: list[int], cap: int, max_depth: int | None = None):
+    """Yield (a, omega(a), ascending logs of the divisors of a) for a = 1 and
+    every squarefree product a <= cap of the ascending primes.  Nodes at
+    depth max_depth are not expanded.
+    """
+    stack: list[tuple[int, int, int, list[float]]] = [(1, 0, 0, [0.0])]
+    while stack:
+        a, i0, depth, logs = stack.pop()
+        yield a, depth, logs
+        if depth == max_depth:
+            continue
+        for i in range(i0, len(primes)):
+            nxt = a * primes[i]
+            if nxt > cap:
+                break
+            shifted = [t + math.log(primes[i]) for t in logs]
+            stack.append((nxt, i + 1, depth + 1, sorted(logs + shifted)))
 
 
 def sum_l_over_a(ps: PrimeSet, limit: int) -> float:
@@ -309,18 +301,8 @@ def sum_l_over_a(ps: PrimeSet, limit: int) -> float:
     if ps.limit < limit:
         raise ValueError(f"prime set materialized to {ps.limit} < limit = {limit}")
     primes = [int(p) for p in ps.members[ps.members <= limit]]
-    terms = [LOG2]  # a = 1: L(1) = log 2
-    stack: list[tuple[int, int, list[float]]] = [(1, 0, [0.0])]
-    while stack:
-        a, i0, logs = stack.pop()
-        for i in range(i0, len(primes)):
-            nxt = a * primes[i]
-            if nxt > limit:
-                break
-            child_logs = _merge_sorted(logs, [t + math.log(primes[i]) for t in logs])
-            terms.append(_merged_log_measure(child_logs) / nxt)
-            stack.append((nxt, i + 1, child_logs))
-    return math.fsum(terms)
+    return math.fsum(_merge_log_intervals(logs).measure / a
+                     for a, _, logs in _squarefree_log_walk(primes, limit))
 
 
 @dataclass
@@ -344,8 +326,6 @@ def t_q(ps: PrimeSet, k: int, y: float, cap: int = T_Q_DEFAULT_CAP) -> TqResult:
     bound = 2.0 * y
     if ps.limit < bound:
         raise ValueError(f"prime set materialized to {ps.limit} < 2y = {bound}")
-    if k == 0:
-        return TqResult(LOG2, 0.0, cap, 1)
     primes = [int(p) for p in ps.members[ps.members <= bound]]
 
     # exact-ish elementary symmetric sum e_k over 1/p, for the tail bound
@@ -358,19 +338,10 @@ def t_q(ps: PrimeSet, k: int, y: float, cap: int = T_Q_DEFAULT_CAP) -> TqResult:
 
     terms: list[float] = []
     recip: list[float] = []
-    stack: list[tuple[int, int, int, list[float]]] = [(1, 0, 0, [0.0])]
-    while stack:
-        a, i0, depth, logs = stack.pop()
-        for i in range(i0, len(primes)):
-            nxt = a * primes[i]
-            if nxt > cap:
-                break
-            child_logs = _merge_sorted(logs, [t + math.log(primes[i]) for t in logs])
-            if depth + 1 == k:
-                terms.append(_merged_log_measure(child_logs) / nxt)
-                recip.append(1.0 / nxt)
-            else:
-                stack.append((nxt, i + 1, depth + 1, child_logs))
+    for a, depth, logs in _squarefree_log_walk(primes, cap, k):
+        if depth == k:
+            terms.append(_merge_log_intervals(logs).measure / a)
+            recip.append(1.0 / a)
     covered = math.fsum(recip)
     tail = LOG2 * (2.0**k) * max(0.0, e_k - covered)
     return TqResult(math.fsum(terms), tail, cap, len(terms))

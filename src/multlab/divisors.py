@@ -81,19 +81,6 @@ def divisors(n: int) -> list[int]:
     return divs
 
 
-def _divisors_from_factors(factors) -> list[int]:
-    divs = [1]
-    for p, e in factors:
-        pk = 1
-        extended = list(divs)
-        for _ in range(e):
-            pk *= p
-            extended.extend(d * pk for d in divs)
-        divs = extended
-    divs.sort()
-    return divs
-
-
 def in_sq(ps: PrimeSet, n: int) -> bool:
     """Is every prime factor of n a member of Q?  (n = 1 qualifies.)"""
     if n < 1:
@@ -110,6 +97,26 @@ def in_sq(ps: PrimeSet, n: int) -> bool:
     return True
 
 
+def _product_tree(primes: list[int], cap: int, step: int) -> list[int]:
+    """Ascending products of the ascending primes up to cap, 1 included.
+
+    step 0 lets a child reuse its parent's last prime (prime powers allowed);
+    step 1 moves past it (distinct primes only).
+    """
+    out = [1]
+    stack: list[tuple[int, int]] = [(1, 0)]
+    while stack:
+        prod, i0 = stack.pop()
+        for i in range(i0, len(primes)):
+            nxt = prod * primes[i]
+            if nxt > cap:
+                break
+            out.append(nxt)
+            stack.append((nxt, i + step))
+    out.sort()
+    return out
+
+
 def enumerate_sq(ps: PrimeSet, x: float) -> list[int]:
     """Ascending members of S_Q up to x, generated by recursive products.
 
@@ -121,19 +128,7 @@ def enumerate_sq(ps: PrimeSet, x: float) -> list[int]:
     if ps.limit < x:
         raise ValueError(f"prime set materialized to {ps.limit} < x = {x}")
     cap = int(x)
-    primes = [int(p) for p in ps.members[ps.members <= cap]]
-    out = [1]
-    stack: list[tuple[int, int]] = [(1, 0)]
-    while stack:
-        prod, i0 = stack.pop()
-        for i in range(i0, len(primes)):
-            nxt = prod * primes[i]
-            if nxt > cap:
-                break
-            out.append(nxt)
-            stack.append((nxt, i))  # same index again: prime powers allowed
-    out.sort()
-    return out
+    return _product_tree([int(p) for p in ps.members[ps.members <= cap]], cap, 0)
 
 
 def enumerate_p_smooth_sq(ps: PrimeSet, z: float, cap: int) -> list[int]:
@@ -143,19 +138,7 @@ def enumerate_p_smooth_sq(ps: PrimeSet, z: float, cap: int) -> list[int]:
     bound = min(float(z), float(cap))
     if ps.limit < bound:
         raise ValueError(f"prime set materialized to {ps.limit} < min(z, cap) = {bound}")
-    primes = [int(p) for p in ps.members[ps.members <= bound]]
-    out = [1]
-    stack: list[tuple[int, int]] = [(1, 0)]
-    while stack:
-        prod, i0 = stack.pop()
-        for i in range(i0, len(primes)):
-            nxt = prod * primes[i]
-            if nxt > cap:
-                break
-            out.append(nxt)
-            stack.append((nxt, i + 1))  # distinct primes only
-    out.sort()
-    return out
+    return _product_tree([int(p) for p in ps.members[ps.members <= bound]], cap, 1)
 
 
 @dataclass
@@ -190,23 +173,6 @@ def l_interval_union(a: int) -> IntervalUnion:
 
 def l_measure(a: int) -> float:
     return l_interval_union(a).measure
-
-
-def _l_measure_from_sorted_divisors(divs) -> float:
-    """L(a) from an ascending divisor list without building the union object."""
-    total = 0.0
-    prev_hi = -math.inf
-    for d in divs:
-        t = math.log(d)
-        lo = t - LOG2
-        if lo <= prev_hi + MERGE_SLACK:
-            if t > prev_hi:
-                total += t - prev_hi
-                prev_hi = t
-        else:
-            total += LOG2
-            prev_hi = t
-    return total
 
 
 def w_count(a: int) -> int:

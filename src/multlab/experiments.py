@@ -1,10 +1,10 @@
 """Named experiments wiring prime sets, counts, predictors, and simulations.
 
-Each run_* function takes a flat config dict (missing keys filled from the
-experiment's defaults), executes the grid, and writes a CSV table plus a JSON
-manifest into the output directory.  CSV bodies are pure functions of the
-config; wall-clock data lives only in the manifest, so identical configs give
-byte-identical CSVs.
+run_experiment fills a flat config dict from the experiment's defaults and
+runs the experiment's run_* body, which executes the grid and hands its tables
+to a reporter that writes them plus a JSON manifest into the output directory.
+CSV bodies are pure functions of the config; wall-clock data lives only in the
+manifest, so identical configs give byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, merged_config, require_grid
-from .counting import count_aq, count_hq, count_rough, count_sq
+from .counting import count_aq, count_hq, count_sq
 from .orderstats import (
     BarrierSpec,
     barrier_events_mc,
@@ -35,6 +35,7 @@ from .poisson import classify_regime, e_factor, g_exponent, main_term
 from .primes import PrimeSet, density_audit, make_prime_set
 
 AUDIT_GRID_POINTS = 12
+DEFAULT_SEED = 20260825
 
 
 def resolve_prime_set(desc: str, limit: int, seed: int = 0) -> PrimeSet:
@@ -96,12 +97,12 @@ class ExperimentResult:
 class _Reporter:
     """Accumulates tables and writes the CSV/JSON artifacts plus manifest."""
 
-    def __init__(self, name: str, out_dir, cfg: dict, fmt: str = "csv"):
+    def __init__(self, name: str, out_dir, cfg: dict, fmt: str, threads: int):
         if fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {fmt!r}")
-        self.name = name
         self.cfg = cfg
         self.fmt = fmt
+        self.threads = threads
         self.t0 = time.perf_counter()
         self.result = ExperimentResult(name, Path(out_dir))
         self.prime_audits: list[dict] = []
@@ -126,20 +127,20 @@ class _Reporter:
         self.files[path.name] = hashlib.sha256(body.encode("utf-8")).hexdigest()
         self.result.csv_paths.append(path)
 
-    def finish(self, seed, threads: int) -> ExperimentResult:
+    def finish(self) -> ExperimentResult:
         manifest = {
-            "experiment": self.name,
+            "experiment": self.result.name,
             "artifact_version": __version__,
             "config": self.cfg,
-            "seed": seed,
-            "threads": threads,
+            "seed": self.cfg["seed"],
+            "threads": self.threads,
             "prime_sets": self.prime_audits,
             "summary": self.result.summary,
             "files": self.files,
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
             "elapsed_seconds": round(time.perf_counter() - self.t0, 3),
         }
-        path = self.result.out_dir / f"{self.name}_manifest.json"
+        path = self.result.out_dir / f"{self.result.name}_manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
         self.result.manifest_path = path
@@ -153,16 +154,12 @@ HQ_SCAN_DEFAULTS = {
     "y_grid": [100.0, 316.22776601683796, 1000.0],
     "z_factor": 2.0,
     "method": "divisor-multiples",
-    "seed": 20260825,
+    "seed": DEFAULT_SEED,
 }
 
 
-def run_hq_scan(cfg: dict | None = None, out_dir=".", *, seed=None,
-                threads: int = 1, fmt: str = "csv") -> ExperimentResult:
+def run_hq_scan(cfg: dict, rep: _Reporter) -> None:
     """Brute-force H_Q(x, y, z_factor*y) against the predictor over a grid."""
-    cfg = merged_config(HQ_SCAN_DEFAULTS, cfg or {}, "hq-scan")
-    if seed is not None:
-        cfg["seed"] = int(seed)
     x_grid = require_grid(cfg, "x_grid", "hq-scan")
     y_grid = require_grid(cfg, "y_grid", "hq-scan")
     q_descs = require_grid(cfg, "prime_sets", "hq-scan")
@@ -173,7 +170,6 @@ def run_hq_scan(cfg: dict | None = None, out_dir=".", *, seed=None,
     if zf <= 1.0:
         raise ConfigError(f"hq-scan: z_factor must exceed 1, got {zf}")
 
-    rep = _Reporter("hq_scan", out_dir, cfg, fmt)
     rows = []
     for desc in q_descs:
         ps = resolve_prime_set(str(desc), limit, cfg["seed"])
@@ -191,29 +187,24 @@ def run_hq_scan(cfg: dict | None = None, out_dir=".", *, seed=None,
     rep.add_table("hq_scan",
                   ["q", "x", "y", "z", "delta", "count", "predictor", "ratio"],
                   rows)
-    return rep.finish(cfg["seed"], threads)
 
 
 AQ_DICHOTOMY_DEFAULTS = {
     "prime_sets": ["all", "thinned:0.4"],
     "n_grid": [1000, 10_000, 100_000],
     "slope_threshold": -0.02,
-    "seed": 20260825,
+    "seed": DEFAULT_SEED,
 }
 
 AQ_N_CAP = 100_000
 
 
-def run_aq_dichotomy(cfg: dict | None = None, out_dir=".", *, seed=None,
-                     threads: int = 1, fmt: str = "csv") -> ExperimentResult:
+def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
     """A_Q(N) / |S_Q(N)|^2 over an N grid, with a log-log slope per prime set.
 
     The slope fit flags each Q as "flat" (product set has full relative size,
     the low-density side of the dichotomy) or "decaying".
     """
-    cfg = merged_config(AQ_DICHOTOMY_DEFAULTS, cfg or {}, "aq-dichotomy")
-    if seed is not None:
-        cfg["seed"] = int(seed)
     n_grid = sorted(int(n) for n in require_grid(cfg, "n_grid", "aq-dichotomy"))
     if n_grid[0] < 1:
         raise ConfigError(f"aq-dichotomy: N must be >= 1, got {n_grid[0]}")
@@ -222,7 +213,6 @@ def run_aq_dichotomy(cfg: dict | None = None, out_dir=".", *, seed=None,
     q_descs = require_grid(cfg, "prime_sets", "aq-dichotomy")
     limit = max(n_grid[-1], 16)
 
-    rep = _Reporter("aq_dichotomy", out_dir, cfg, fmt)
     rows = []
     slopes = {}
     for desc in q_descs:
@@ -248,7 +238,6 @@ def run_aq_dichotomy(cfg: dict | None = None, out_dir=".", *, seed=None,
     rep.add_table("aq_dichotomy",
                   ["q", "delta", "n", "sq_count", "aq_count", "ratio"],
                   rows)
-    return rep.finish(cfg["seed"], threads)
 
 
 POISSON_PHASE_DEFAULTS = {
@@ -261,20 +250,15 @@ POISSON_PHASE_DEFAULTS = {
     "delta_max": 1.0,
     "delta_step": 0.01,
     "loglog_y": 30.0,
-    "seed": 20260825,
+    "seed": DEFAULT_SEED,
 }
 
 
-def run_poisson_phase(cfg: dict | None = None, out_dir=".", *, seed=None,
-                      threads: int = 1, fmt: str = "csv") -> ExperimentResult:
+def run_poisson_phase(cfg: dict, rep: _Reporter) -> None:
     """Regime-classification sweep plus the exponent curve behind the phase plot."""
-    cfg = merged_config(POISSON_PHASE_DEFAULTS, cfg or {}, "poisson-phase")
-    if seed is not None:
-        cfg["seed"] = int(seed)
     if not (cfg["include_regimes"] or cfg["include_gcurve"]):
         raise ConfigError("poisson-phase: both sections disabled, nothing to do")
 
-    rep = _Reporter("poisson_phase", out_dir, cfg, fmt)
     if cfg["include_regimes"]:
         lam_grid = require_grid(cfg, "lambda_grid", "poisson-phase")
         v_grid = require_grid(cfg, "v_grid", "poisson-phase")
@@ -311,7 +295,6 @@ def run_poisson_phase(cfg: dict | None = None, out_dir=".", *, seed=None,
         rep.add_table("poisson_phase_gcurve",
                       ["delta", "g_exponent", "e_factor", "loglog_y"],
                       rows)
-    return rep.finish(cfg["seed"], threads)
 
 
 SMIRNOV_DEFAULTS = {
@@ -330,19 +313,15 @@ SMIRNOV_DEFAULTS = {
     "yk_c": 40.0,
     "yk_m": 5,
     "yk_samples": 100_000,
-    "seed": 20260825,
+    "seed": DEFAULT_SEED,
 }
 
 _SMIRNOV_HEADER = ["op", "k", "v", "u", "C", "M", "mu", "n",
                    "estimate", "std_error", "seed"]
 
 
-def run_smirnov(cfg: dict | None = None, out_dir=".", *, seed=None,
-                threads: int = 1, fmt: str = "csv") -> ExperimentResult:
+def run_smirnov(cfg: dict, rep: _Reporter) -> None:
     """Order-statistics study: Daniels exact vs MC, barrier conditioning, Y_k."""
-    cfg = merged_config(SMIRNOV_DEFAULTS, cfg or {}, "smirnov")
-    if seed is not None:
-        cfg["seed"] = int(seed)
     base_seed = int(cfg["seed"])
     rows = []
 
@@ -357,7 +336,7 @@ def run_smirnov(cfg: dict | None = None, out_dir=".", *, seed=None,
                 rows.append({"op": "qk_exact", "k": k, "v": v, "u": u,
                              "estimate": exact, "std_error": 0.0})
                 est = qk_mc(u, v, k, int(cfg["daniels_samples"]),
-                            base_seed + point, threads=threads)
+                            base_seed + point, threads=rep.threads)
                 rows.append({"op": "qk_mc", "k": k, "v": v, "u": u,
                              "n": est.n_samples, "estimate": est.estimate,
                              "std_error": est.std_error, "seed": est.seed})
@@ -369,7 +348,7 @@ def run_smirnov(cfg: dict | None = None, out_dir=".", *, seed=None,
     bn = int(cfg["barrier_samples"])
     for c in require_grid(cfg, "barrier_c", "smirnov"):
         spec = BarrierSpec(bk, bv, float(c), bm, bmu)
-        p_b, p_s, p_cond = barrier_events_mc(spec, bn, base_seed, threads=threads)
+        p_b, p_s, p_cond = barrier_events_mc(spec, bn, base_seed, threads=rep.threads)
         for op, est in (("p_weak", p_b), ("p_strong", p_s), ("p_cond", p_cond)):
             rows.append({"op": op, "k": bk, "v": bv, "C": float(c), "mu": bmu,
                          "n": est.n_samples, "estimate": est.estimate,
@@ -383,7 +362,7 @@ def run_smirnov(cfg: dict | None = None, out_dir=".", *, seed=None,
             vt = float(f) * k
             if vt < k:
                 raise ConfigError(f"smirnov: yk_v_factor {f} gives v_tilde < k")
-            est = vol_yk_mc(k, vt, yc, ym, yn, base_seed, threads=threads)
+            est = vol_yk_mc(k, vt, yc, ym, yn, base_seed, threads=rep.threads)
             bound = 0.5 * (vt - k + 1) / (vt * math.factorial(k))
             rows.append({"op": "yk_vol", "k": k, "v": vt, "C": yc, "M": ym,
                          "mu": 1.0 / 7.0, "n": est.n_samples,
@@ -392,22 +371,27 @@ def run_smirnov(cfg: dict | None = None, out_dir=".", *, seed=None,
             rows.append({"op": "yk_bound", "k": k, "v": vt, "C": yc, "M": ym,
                          "mu": 1.0 / 7.0, "estimate": bound, "std_error": 0.0})
 
-    rep = _Reporter("smirnov", out_dir, cfg, fmt)
     rep.add_table("smirnov", _SMIRNOV_HEADER, rows)
-    return rep.finish(base_seed, threads)
 
 
 EXPERIMENTS = {
-    "hq-scan": run_hq_scan,
-    "aq-dichotomy": run_aq_dichotomy,
-    "poisson-phase": run_poisson_phase,
-    "smirnov": run_smirnov,
+    "hq-scan": (run_hq_scan, HQ_SCAN_DEFAULTS),
+    "aq-dichotomy": (run_aq_dichotomy, AQ_DICHOTOMY_DEFAULTS),
+    "poisson-phase": (run_poisson_phase, POISSON_PHASE_DEFAULTS),
+    "smirnov": (run_smirnov, SMIRNOV_DEFAULTS),
 }
 
 
 def run_experiment(name: str, cfg: dict | None, out_dir, *, seed=None,
                    threads: int = 1, fmt: str = "csv") -> ExperimentResult:
+    """Run one named experiment; the manifest's clock covers the whole body."""
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r} "
                           f"(have: {', '.join(sorted(EXPERIMENTS))})")
-    return EXPERIMENTS[name](cfg, out_dir, seed=seed, threads=threads, fmt=fmt)
+    body, defaults = EXPERIMENTS[name]
+    cfg = merged_config(defaults, cfg or {}, name)
+    if seed is not None:
+        cfg["seed"] = int(seed)
+    rep = _Reporter(name.replace("-", "_"), out_dir, cfg, fmt, threads)
+    body(cfg, rep)
+    return rep.finish()

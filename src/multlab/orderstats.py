@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .poisson import _is_exact
 from .rng import run_blocks
 
 YK_MU = 1.0 / 7.0  # exponent in the strong-barrier term min(i, k-i)^mu
@@ -28,6 +29,16 @@ class McEstimate:
     n_samples: int
     seed: int
     hits: int
+
+    @classmethod
+    def from_hits(cls, hits: int, n: int, seed: int, k: int = 1) -> McEstimate:
+        """Hit fraction hits/n with its binomial standard error, both divided
+        by k!.  With n = 0 the estimate is undefined: NaN with n_samples 0."""
+        if n == 0:
+            return cls(math.nan, math.nan, 0, seed, hits)
+        p = hits / n
+        kfac = float(math.factorial(k))
+        return cls(p / kfac, math.sqrt(max(p * (1.0 - p), 0.0) / n) / kfac, n, seed, hits)
 
 
 @dataclass
@@ -67,10 +78,6 @@ def _ordered_batch(rng: np.random.Generator, n: int, k: int, method: str = "sort
 def _as_fraction(x) -> Fraction:
     # Fraction(float) is exact for binary floats, so exactness is preserved
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _all_exact(*vals) -> bool:
-    return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in vals)
 
 
 def _steck_determinant(lower: list[Fraction], k: int) -> Fraction:
@@ -133,7 +140,7 @@ def qk_exact(u, v, k: int):
         raise ValueError(f"v must be > 0, got {v}")
     if not (k - v < u <= 1):
         raise ValueError(f"u = {u} outside validity range ({k - v}, 1]")
-    exact = _all_exact(u, v)
+    exact = _is_exact(u) and _is_exact(v)
     uf, vf = _as_fraction(u), _as_fraction(v)
     if uf == 1:
         w = uf + vf - k
@@ -169,7 +176,7 @@ def vol_lower_barrier_exact(lower_bounds):
         raise ValueError("need at least one bound")
     if k > MAX_EXACT_K:
         raise ValueError(f"recursive integration capped at k <= {MAX_EXACT_K}, got {k}")
-    exact = _all_exact(*bounds)
+    exact = all(map(_is_exact, bounds))
     a = [_as_fraction(x) for x in bounds]
     for i, x in enumerate(a):
         if not 0 <= x <= 1:
@@ -186,11 +193,6 @@ def vol_lower_barrier_exact(lower_bounds):
     return val if exact else float(val)
 
 
-def _binom_se(hits: int, n: int) -> float:
-    p = hits / n
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
 def qk_mc(u: float, v: float, k: int, n_samples: int, seed: int,
           threads: int = 1, method: str = "sort") -> McEstimate:
     """Monte Carlo Q_k(u, v) with binomial standard error."""
@@ -201,7 +203,15 @@ def qk_mc(u: float, v: float, k: int, n_samples: int, seed: int,
         return int(np.count_nonzero(np.all(s >= thresholds, axis=1)))
 
     hits = sum(run_blocks(n_samples, seed, 101, block, threads))
-    return McEstimate(hits / n_samples, _binom_se(hits, n_samples), n_samples, seed, hits)
+    return McEstimate.from_hits(hits, n_samples, seed)
+
+
+def _barrier_bump(k: int, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """i = 1..k and the bump min(i, k-i)^mu, which is 0 at i = k."""
+    i = np.arange(1, k + 1, dtype=np.float64)
+    m = np.minimum(i, k - i)
+    bump = np.where(m > 0, m, 1.0) ** mu
+    return i, np.where(m > 0, bump, 0.0)
 
 
 def barrier_thresholds(spec: BarrierSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -210,11 +220,8 @@ def barrier_thresholds(spec: BarrierSpec) -> tuple[np.ndarray, np.ndarray]:
     weak_i = (i-1)/v; strong_i = max(weak_i, (i + min(i, k-i)^mu - C)/v), with
     min(i, k-i)^mu evaluated as 0 when min(i, k-i) = 0 (i.e. at i = k).
     """
-    i = np.arange(1, spec.k + 1, dtype=np.float64)
+    i, bump = _barrier_bump(spec.k, spec.mu_exponent)
     weak = (i - 1.0) / spec.v
-    m = np.minimum(i, spec.k - i)
-    bump = np.where(m > 0, m, 1.0) ** spec.mu_exponent
-    bump = np.where(m > 0, bump, 0.0)
     strong = np.maximum(weak, (i + bump - spec.c_shift) / spec.v)
     return weak, strong
 
@@ -238,13 +245,9 @@ def barrier_events_mc(spec: BarrierSpec, n_samples: int, seed: int,
     pairs = run_blocks(n_samples, seed, 202, block, threads)
     b_hits = sum(p[0] for p in pairs)
     s_hits = sum(p[1] for p in pairs)
-    p_b = McEstimate(b_hits / n_samples, _binom_se(b_hits, n_samples), n_samples, seed, b_hits)
-    p_s = McEstimate(s_hits / n_samples, _binom_se(s_hits, n_samples), n_samples, seed, s_hits)
-    if b_hits == 0:
-        cond = McEstimate(math.nan, math.nan, 0, seed, 0)  # undefined conditional
-    else:
-        cond = McEstimate(s_hits / b_hits, _binom_se(s_hits, b_hits), b_hits, seed, s_hits)
-    return p_b, p_s, cond
+    return (McEstimate.from_hits(b_hits, n_samples, seed),
+            McEstimate.from_hits(s_hits, n_samples, seed),
+            McEstimate.from_hits(s_hits, b_hits, seed))
 
 
 def yk_membership(xi, k: int, v_tilde: float, c_shift: float, m_offset: int) -> bool:
@@ -265,10 +268,7 @@ def yk_membership(xi, k: int, v_tilde: float, c_shift: float, m_offset: int) -> 
 
 
 def _yk_hits(s: np.ndarray, k: int, v_tilde: float, c_shift: float, m_offset: int) -> np.ndarray:
-    i = np.arange(1, k + 1, dtype=np.float64)
-    m = np.minimum(i, k - i)
-    bump = np.where(m > 0, m, 1.0) ** YK_MU
-    bump = np.where(m > 0, bump, 0.0)
+    i, bump = _barrier_bump(k, YK_MU)
     lower = np.maximum(i - 1.0, i + bump - c_shift) / v_tilde
     ok = np.all(s >= lower, axis=1)
     top = int(math.isqrt(k - m_offset)) if k > m_offset else 0
@@ -290,9 +290,7 @@ def vol_yk_mc(k: int, v_tilde: float, c_shift: float, m_offset: int,
         return int(np.count_nonzero(_yk_hits(s, k, v_tilde, c_shift, m_offset)))
 
     hits = sum(run_blocks(n_samples, seed, 303, block, threads))
-    kfac = float(math.factorial(k))
-    return McEstimate(hits / n_samples / kfac, _binom_se(hits, n_samples) / kfac,
-                      n_samples, seed, hits)
+    return McEstimate.from_hits(hits, n_samples, seed, k)
 
 
 _LOG_DOMAIN_V = 500.0
@@ -351,6 +349,4 @@ def t_region_mc(k: int, v: float, gamma: float, n_samples: int, seed: int,
         return int(np.count_nonzero(np.all(log_cs >= rhs, axis=1)))
 
     hits = sum(run_blocks(n_samples, seed, 505, block, threads))
-    kfac = float(math.factorial(k))
-    return McEstimate(hits / n_samples / kfac, _binom_se(hits, n_samples) / kfac,
-                      n_samples, seed, hits)
+    return McEstimate.from_hits(hits, n_samples, seed, k)

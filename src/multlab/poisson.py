@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-LOG2 = math.log(2.0)
+from .primes import LOG2
+
 LOG4 = math.log(4.0)
 EXACT_V_CAP = 200
 FLOAT_DIRECT_LAMBDA = 700.0

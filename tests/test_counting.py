@@ -26,7 +26,7 @@ from multlab import (
     t_q,
 )
 from multlab.divisors import l_measure
-from multlab.primes import LOG2
+from multlab.primes import LOG2, make_prime_set
 
 
 def brute_hq(ps, x, y, z, squarefree_only=False):
@@ -69,6 +69,18 @@ def test_count_hq_validation(ps_all):
         count_hq(ps_all, 10, -1, 2)
     with pytest.raises(ValueError):
         count_hq(ps_all, 10, 1, 2, method="guess")
+
+
+def test_count_hq_checks_limit_for_both_methods():
+    tiny = make_prime_set("all", 100)
+    for method in ("divisor-multiples", "exhaustive"):
+        with pytest.raises(ValueError, match="materialized"):
+            count_hq(tiny, 1000, 10, 20, method=method)
+
+
+def test_count_hq_rejects_unknown_method_on_empty_interval(ps_all):
+    with pytest.raises(ValueError, match="unknown count_hq method"):
+        count_hq(ps_all, 100, 6, 6, method="bogus")
 
 
 def test_count_hq_matches_brute_force(ps_all, ps_1mod4):
@@ -185,6 +197,19 @@ def test_sum_l_over_a_small_oracle(ps_1mod4, ps_all):
         ]
         expected = math.fsum(l_measure(a) / a for a in squarefree)
         assert sum_l_over_a(ps, limit) == pytest.approx(expected, rel=1e-12)
+
+
+def test_squarefree_walk_matches_l_measure_on_thinned_set(ps_thinned):
+    limit = 3000
+    sf = [a for a in range(1, limit + 1)
+          if in_sq(ps_thinned, a) and factorize(a).mu_squared == 1]
+    expected = math.fsum(l_measure(a) / a for a in sf)
+    assert sum_l_over_a(ps_thinned, limit) == pytest.approx(expected, rel=1e-12)
+    # t_q cuts the same walk at depth k: omega(a) = 2 and P+(a) <= 2y = 100
+    two = [a for a in sf if factorize(a).omega == 2 and factorize(a).p_plus <= 100]
+    res = t_q(ps_thinned, 2, 50.0, cap=limit)
+    assert res.n_terms == len(two)
+    assert res.value == pytest.approx(math.fsum(l_measure(a) / a for a in two), rel=1e-12)
 
 
 def test_sum_l_over_a_validation(ps_all):

@@ -17,6 +17,7 @@ from multlab import (
     w_count,
 )
 from multlab.divisors import tau_from_factors
+from multlab.experiments import resolve_prime_set
 from multlab.primes import LOG2
 
 
@@ -105,6 +106,17 @@ def test_enumerate_p_smooth_sq(ps_all):
     # cap below z clips the prime pool as well as the products
     assert enumerate_p_smooth_sq(ps_all, 100, 10) == [1, 2, 3, 5, 6, 7, 10]
     assert enumerate_p_smooth_sq(ps_all, 100, 0) == []
+
+
+@pytest.mark.parametrize("desc", ["thinned:0.4:7", "congruence:3:2", "congruence:8:1+3"])
+def test_walkers_match_brute_force(desc):
+    ps = resolve_prime_set(desc, 3000)
+    members = [n for n in range(1, 3001) if in_sq(ps, n)]
+    assert enumerate_sq(ps, 3000) == members
+    for z in (2, 30, 500, 3000):
+        smooth = [n for n in members
+                  if factorize(n).mu_squared == 1 and factorize(n).p_plus <= z]
+        assert enumerate_p_smooth_sq(ps, z, 3000) == smooth
 
 
 def test_l_interval_union_singletons():

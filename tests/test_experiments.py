@@ -1,0 +1,40 @@
+"""Experiment lifecycle: CSV bodies pinned to recorded digests, and manifest
+timing that covers the whole run."""
+
+import hashlib
+import json
+import time
+
+import pytest
+
+from multlab.acceptance import DETERMINISM_CONFIGS
+from multlab.experiments import run_experiment
+
+# sha256 of every table body at DETERMINISM_CONFIGS; any byte change fails
+GOLDEN_CSV_SHA256 = {
+    "hq_scan.csv": "b409b6fc5b3578c68de0649f32639d3dce9a2b415f9f9631c849b3a83f449ea0",
+    "aq_dichotomy.csv": "674a800745eb9085b0c376ab4d54918b9a3bdd08af258b1834336fc00f9e3627",
+    "poisson_phase.csv": "1a392722ea936c02afdb2ceed558d7b9dd49eecd9d076429d3cf289d13148ec4",
+    "poisson_phase_gcurve.csv":
+        "54c89d5fd711e134cd1ba46576ccaa5c033772f404a7cba9abc165f44ea6b04e",
+    "smirnov.csv": "e9b0358fb546c53e001e7375344781ae3bce236011aa184fff1613ab4ca892bf",
+}
+
+
+def test_csv_bodies_match_golden_digests(tmp_path):
+    got = {}
+    for name, cfg in DETERMINISM_CONFIGS.items():
+        res = run_experiment(name, dict(cfg), tmp_path / name)
+        for path in res.csv_paths:
+            got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == GOLDEN_CSV_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(DETERMINISM_CONFIGS))
+def test_manifest_elapsed_covers_run(tmp_path, name):
+    t0 = time.perf_counter()
+    res = run_experiment(name, dict(DETERMINISM_CONFIGS[name]), tmp_path)
+    wall = time.perf_counter() - t0
+    elapsed = json.loads(res.manifest_path.read_text())["elapsed_seconds"]
+    # the manifest rounds to the millisecond, so allow half of one
+    assert elapsed >= 0.5 * wall - 0.0005, (elapsed, wall)

@@ -270,3 +270,13 @@ def test_t_region_monotone_in_gamma():
     lo = t_region_mc(3, 3.0, 0.5, 40_000, SEED)
     hi = t_region_mc(3, 3.0, 2.0, 40_000, SEED)
     assert lo.hits <= hi.hits
+
+
+def test_t_region_and_uk_match_golden_values():
+    # recorded with numpy 2.4 on x86-64; no CSV covers either estimator
+    t = t_region_mc(4, 4.0, 0.5, 30_000, 5)
+    assert (t.estimate, t.std_error, t.hits) == (
+        0.023131944444444445, 0.00011954694541443462, 16655)
+    u = uk_mc(4, 6.0, 30_000, 5)
+    assert (u.estimate, u.std_error, u.hits) == (
+        0.04074174665313703, 1.7584932841210564e-05, 30_000)
