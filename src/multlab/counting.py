@@ -44,8 +44,9 @@ _SQ_BITMAP_CACHE_SLOTS = 4
 def _sq_bitmap(ps: PrimeSet, x: int) -> np.ndarray:
     """Membership bitmap of S_Q over [0, x]: True at n iff all prime factors in Q.
 
-    Built by clearing multiples of the primes *outside* Q (complement sieve);
-    index 0 is False, index 1 is True.
+    Built by clearing multiples of the primes *outside* Q (complement sieve):
+    strided per prime up to sqrt(x), per cofactor beyond it.  Index 0 is
+    False, index 1 is True.
     """
     if x > MAX_X_BITMAP:
         raise ValueError(f"x = {x} beyond bitmap cap {MAX_X_BITMAP}")
@@ -61,15 +62,25 @@ def _sq_bitmap(ps: PrimeSet, x: int) -> np.ndarray:
             return bm[: x + 1]  # view of a longer bitmap; callers never mutate
     bm = np.ones(x + 1, dtype=bool)
     bm[0] = False
-    if ps.kind != "all":
-        members = ps.members
-        in_q = np.zeros(x + 1, dtype=bool)
-        upto = members[members <= x]
-        in_q[upto] = True
-        for p in sieve_primes(x) if x >= 2 else []:
-            p = int(p)
-            if not in_q[p]:
-                bm[p::p] = False
+    if ps.kind != "all" and x >= 2:
+        primes = sieve_primes(x)
+        members = ps.members[: np.searchsorted(ps.members, x, side="right")]
+        at = np.minimum(np.searchsorted(primes, members), len(primes) - 1)
+        if not np.array_equal(primes[at], members):
+            raise ValueError("prime set members are not primes")
+        outside = np.ones(len(primes), dtype=bool)
+        outside[at] = False
+        excluded = primes[outside]
+        del primes, members, at, outside
+        split = int(np.searchsorted(excluded, math.isqrt(x), side="right"))
+        for p in excluded[:split].tolist():
+            bm[p::p] = False
+        # A multiple k*p <= x of an excluded p > sqrt(x) has k < sqrt(x), so
+        # loop over the cofactor k and clear every such p at once.
+        large = excluded[split:]
+        k_max = x // int(large[0]) if len(large) else 0
+        for k in range(1, k_max + 1):
+            bm[large[: np.searchsorted(large, x // k, side="right")] * k] = False
     while len(_SQ_BITMAP_CACHE) >= _SQ_BITMAP_CACHE_SLOTS:
         _SQ_BITMAP_CACHE.pop(next(iter(_SQ_BITMAP_CACHE)))
     _SQ_BITMAP_CACHE[key] = bm
@@ -87,17 +98,25 @@ def _divisor_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     if _div_table is not None and _div_table[0] >= n_max:
         return _div_table[1], _div_table[2]
     n = int(n_max)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for d in range(1, n + 1):
-        counts[d::d] += 1
+    d = np.arange(1, n + 1, dtype=np.int32)
+    runs = n // d  # multiples of d up to n
+    # Pairs (d, j*d) in d-major order; key starts as j - 1, which restarts at
+    # 0 on each run of d, and becomes the sort key m*(n+1) + d in place.
+    key = np.arange(int(runs.sum()), dtype=np.int64)
+    key -= np.repeat((np.cumsum(runs) - runs).astype(np.int32), runs)
+    key += 1
+    d = np.repeat(d, runs)
+    key *= d
+    tau = np.bincount(key, minlength=n + 1)
+    key *= n + 1
+    key += d
+    del d, runs
+    key.sort()
     offsets = np.zeros(n + 2, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    divs = np.zeros(offsets[-1], dtype=np.int32)
-    cursor = offsets[:-1].copy()
-    for d in range(1, n + 1):
-        idx = np.arange(d, n + 1, d)
-        divs[cursor[idx]] = d
-        cursor[idx] += 1
+    np.cumsum(tau, out=offsets[1:])
+    np.remainder(key, n + 1, out=key)
+    divs = key.astype(np.int32)
+    del key
     _div_table = (n, offsets, divs)
     return offsets, divs
 
@@ -125,8 +144,9 @@ def count_hq(
 
     method "divisor-multiples": mark multiples of each integer d in (y, z]
     that stay inside S_Q, count marked cells once.
-    method "exhaustive": walk S_Q itself and probe each member's sorted
-    divisor list.  The two share no counting logic.
+    method "exhaustive": walk S_Q itself and look each member up in the
+    divisor table, through one prefix count of the in-range divisors.  The
+    two share no counting logic.
     """
     t0 = time.perf_counter()
     if x < 1:
@@ -165,16 +185,18 @@ def count_hq(
         return CountResult(value, x, y, z, desc, method, time.perf_counter() - t0)
 
     offsets, divs = _divisor_table(xi)
-    sf = _squarefree_bitmap(xi) if squarefree_only else None
-    value = 0
-    for n in enumerate_sq(ps, xi):
-        if sf is not None and not sf[n]:
-            continue
-        lo, hi = offsets[n], offsets[n + 1]
-        row = divs[lo:hi]
-        i = int(np.searchsorted(row, d_lo))
-        if i < len(row) and row[i] <= d_hi:
-            value += 1
+    # hits[i] counts the in-range entries among the first i of the table, so
+    # row n holds a divisor in [d_lo, d_hi] iff hits grows across the row.
+    end = int(offsets[xi + 1])
+    in_range = divs[:end] >= d_lo
+    in_range &= divs[:end] <= d_hi
+    hits = np.zeros(end + 1, dtype=np.int32)
+    np.cumsum(in_range, dtype=np.int32, out=hits[1:])
+    del in_range
+    members = np.array(enumerate_sq(ps, xi), dtype=np.int64)
+    if squarefree_only:
+        members = members[_squarefree_bitmap(xi)[members]]
+    value = int(np.count_nonzero(hits[offsets[members + 1]] > hits[offsets[members]]))
     return CountResult(value, x, y, z, desc, method, time.perf_counter() - t0)
 
 

@@ -97,38 +97,52 @@ def in_sq(ps: PrimeSet, n: int) -> bool:
     return True
 
 
-def _product_tree(primes: list[int], cap: int, step: int) -> list[int]:
+def _product_tree(primes: np.ndarray, cap: int, step: int) -> list[int]:
     """Ascending products of the ascending primes up to cap, 1 included.
 
-    step 0 lets a child reuse its parent's last prime (prime powers allowed);
-    step 1 moves past it (distinct primes only).
+    step 0 lets a product repeat a prime (prime powers allowed); step 1 uses
+    each prime at most once (distinct primes only).
     """
-    out = [1]
-    stack: list[tuple[int, int]] = [(1, 0)]
-    while stack:
-        prod, i0 = stack.pop()
-        for i in range(i0, len(primes)):
-            nxt = prod * primes[i]
-            if nxt > cap:
+    split = int(np.searchsorted(primes, math.isqrt(cap), side="right"))
+    # Products of the primes up to sqrt(cap), grown one prime at a time from
+    # the `live` products that the prime can still extend within cap.
+    parts = [np.ones(1, dtype=np.int64)]
+    live = parts[0]
+    for p in primes[:split].tolist():
+        live = live[live <= cap // p]
+        layer, grown = live, []
+        while layer.size:
+            layer = layer * p
+            grown.append(layer)
+            if step:
                 break
-            out.append(nxt)
-            stack.append((nxt, i + step))
+            layer = layer[layer <= cap // p]
+        parts.extend(grown)
+        live = np.concatenate([live, *grown])
+    # A product with a prime p > sqrt(cap) holds it once, times a cofactor
+    # m < sqrt(cap) < p of smaller primes, so loop over m instead of over p.
+    large = primes[split:]
+    if large.size:
+        smooth = np.concatenate(parts)
+        for m in np.sort(smooth[smooth <= cap // int(large[0])]).tolist():
+            parts.append(large[: np.searchsorted(large, cap // m, side="right")] * m)
+    out = np.concatenate(parts)
     out.sort()
-    return out
+    return out.tolist()
 
 
 def enumerate_sq(ps: PrimeSet, x: float) -> list[int]:
-    """Ascending members of S_Q up to x, generated by recursive products.
+    """Ascending members of S_Q up to x, generated as products of Q-primes.
 
-    Never filters the integers: walks products of Q-primes (with repetition)
-    directly, so the cost is proportional to the output size.
+    Never filters the integers: builds products of Q-primes (with repetition)
+    directly, so the cost is about proportional to the output size.
     """
     if x < 1:
         return []
     if ps.limit < x:
         raise ValueError(f"prime set materialized to {ps.limit} < x = {x}")
     cap = int(x)
-    return _product_tree([int(p) for p in ps.members[ps.members <= cap]], cap, 0)
+    return _product_tree(ps.members[ps.members <= cap], cap, 0)
 
 
 def enumerate_p_smooth_sq(ps: PrimeSet, z: float, cap: int) -> list[int]:
@@ -138,7 +152,7 @@ def enumerate_p_smooth_sq(ps: PrimeSet, z: float, cap: int) -> list[int]:
     bound = min(float(z), float(cap))
     if ps.limit < bound:
         raise ValueError(f"prime set materialized to {ps.limit} < min(z, cap) = {bound}")
-    return _product_tree([int(p) for p in ps.members[ps.members <= bound]], cap, 1)
+    return _product_tree(ps.members[ps.members <= bound], int(cap), 1)
 
 
 @dataclass

@@ -171,6 +171,7 @@ def run_hq_scan(cfg: dict, rep: _Reporter) -> None:
         raise ConfigError(f"hq-scan: z_factor must exceed 1, got {zf}")
 
     rows = []
+    timings = []  # manifest only: wall-clock data never enters the CSV
     for desc in q_descs:
         ps = resolve_prime_set(str(desc), limit, cfg["seed"])
         rep.prime_audits.append(audit_summary(ps))
@@ -184,6 +185,10 @@ def run_hq_scan(cfg: dict, rep: _Reporter) -> None:
                     "delta": ps.delta, "count": res.value, "predictor": pred,
                     "ratio": res.value / pred,
                 })
+                timings.append({"q": desc, "x": float(x), "y": float(y), "z": z,
+                                "method": res.method,
+                                "elapsed_seconds": round(res.elapsed, 6)})
+    rep.result.summary["count_hq"] = timings
     rep.add_table("hq_scan",
                   ["q", "x", "y", "z", "delta", "count", "predictor", "ratio"],
                   rows)

@@ -321,6 +321,12 @@ def load_prime_set(path) -> PrimeSet:
         meta_len = int.from_bytes(fh.read(8), "little")
         meta = json.loads(fh.read(meta_len).decode("utf-8"))
         packed = np.frombuffer(fh.read(), dtype=np.uint8)
+    expected = (meta["limit"] + 8) // 8  # bytes of a packed bitmap over [0, limit]
+    if len(packed) != expected:
+        raise ValueError(
+            f"prime set payload holds {len(packed)} bytes, limit {meta['limit']} "
+            f"needs {expected}: file truncated or padded"
+        )
     bitmap = np.unpackbits(packed)[: meta["limit"] + 1].astype(bool)
     members = np.nonzero(bitmap)[0].astype(np.int64)
     return PrimeSet(meta["kind"], meta["limit"], meta["delta"], members, meta["params"])

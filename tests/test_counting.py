@@ -26,7 +26,8 @@ from multlab import (
     t_q,
 )
 from multlab.divisors import l_measure
-from multlab.primes import LOG2, make_prime_set
+from multlab.experiments import resolve_prime_set
+from multlab.primes import LOG2, PrimeSet, make_prime_set
 
 
 def brute_hq(ps, x, y, z, squarefree_only=False):
@@ -282,3 +283,77 @@ def test_sum_recip_ab_validation(ps_all):
         sum_recip_ab(ps_all, dec, (-1, 1))
     with pytest.raises(ValueError):
         sum_recip_ab(ps_all, dec, (13, 0))
+
+
+def test_divisor_table_rows_match_divisors(monkeypatch):
+    monkeypatch.setattr(counting, "_div_table", None)
+    # build at 500, then grow to 3000: the growth rebuilds the global table
+    for n in (500, 3000):
+        offsets, divs = counting._divisor_table(n)
+        assert len(offsets) == n + 2 and offsets[0] == offsets[1] == 0
+        assert offsets[-1] == len(divs)
+        for m in range(1, n + 1):
+            assert divs[offsets[m]:offsets[m + 1]].tolist() == divisors(m), m
+    # a smaller request is served by the grown table
+    assert counting._divisor_table(100)[1] is divs
+
+
+BITMAP_SETS = ("thinned:0.4:7", "congruence:3:2", "congruence:8:1+3")
+# both sides of the sqrt(x) split between strided and per-cofactor clearing
+BITMAP_XS = (1, 2, 3, 4, 48, 49, 50, 120, 121, 2000)
+
+
+@pytest.mark.parametrize("desc", BITMAP_SETS)
+def test_sq_bitmap_matches_in_sq(desc, monkeypatch):
+    ps = resolve_prime_set(desc, 2000)
+    expected = [False] + [in_sq(ps, n) for n in range(1, 2001)]
+    monkeypatch.setattr(counting, "_SQ_BITMAP_CACHE", {})
+    for x in BITMAP_XS:
+        counting._SQ_BITMAP_CACHE.clear()
+        assert counting._sq_bitmap(ps, x).tolist() == expected[: x + 1], x
+    # with the x = 2000 bitmap cached, shorter ones are views of its prefix
+    full = counting._sq_bitmap(ps, 2000)
+    for x in BITMAP_XS:
+        bm = counting._sq_bitmap(ps, x)
+        assert np.shares_memory(bm, full)
+        assert bm.tolist() == expected[: x + 1], x
+
+
+def test_sq_bitmap_rejects_non_prime_members(monkeypatch):
+    monkeypatch.setattr(counting, "_SQ_BITMAP_CACHE", {})
+    bogus = PrimeSet("congruence", 100, 0.5, np.array([3, 9, 11], dtype=np.int64),
+                     {"modulus": 2, "residues": [1]})
+    with pytest.raises(ValueError, match="not primes"):
+        counting._sq_bitmap(bogus, 100)
+
+
+@pytest.mark.parametrize("desc", ("congruence:3:2", "congruence:8:1+3"))
+def test_count_hq_methods_agree_on_other_moduli(desc):
+    ps = resolve_prime_set(desc, 100_000)
+    rng = random.Random(8)
+    log_span = math.log(100_000) - math.log(2.0)
+    for i in range(20):
+        x = 100_000.0 if i % 10 == 0 else math.exp(math.log(2.0) + rng.random() * log_span)
+        y = rng.uniform(0.0, 0.99 * x)
+        z = rng.uniform(y, x)
+        a = count_hq(ps, x, y, z, method="divisor-multiples").value
+        assert count_hq(ps, x, y, z, method="exhaustive").value == a
+        sa = count_hq_star(ps, x, y, z, method="divisor-multiples").value
+        assert count_hq_star(ps, x, y, z, method="exhaustive").value == sa
+        assert sa <= a
+
+
+def test_count_hq_methods_stay_independent(ps_1mod4, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("shared machinery between the two H_Q methods")
+
+    x, y, z = 5000, 40.0, 900.0
+    expected = count_hq(ps_1mod4, x, y, z).value
+    with monkeypatch.context() as m:
+        m.setattr(counting, "_sq_bitmap", forbidden)
+        assert count_hq(ps_1mod4, x, y, z, method="exhaustive").value == expected
+    with monkeypatch.context() as m:
+        m.setattr(counting, "_divisor_table", forbidden)
+        m.setattr(counting, "enumerate_sq", forbidden)
+        m.setattr(counting, "_SQ_BITMAP_CACHE", {})  # build, not reuse
+        assert count_hq(ps_1mod4, x, y, z, method="divisor-multiples").value == expected

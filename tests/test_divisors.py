@@ -119,6 +119,18 @@ def test_walkers_match_brute_force(desc):
         assert enumerate_p_smooth_sq(ps, z, 3000) == smooth
 
 
+
+@pytest.mark.parametrize("desc", ["all", "congruence:3:2", "congruence:8:1+3"])
+def test_walkers_at_square_caps(desc):
+    # caps on both sides of a prime square, where the walk switches from
+    # growing smooth products to looping over cofactors of the large primes
+    ps = resolve_prime_set(desc, 200)
+    members = [n for n in range(1, 201) if in_sq(ps, n)]
+    squarefree = [n for n in members if factorize(n).mu_squared == 1]
+    for cap in (1, 2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 200):
+        assert enumerate_sq(ps, cap) == [n for n in members if n <= cap], cap
+        assert enumerate_p_smooth_sq(ps, 200, cap) == [n for n in squarefree if n <= cap], cap
+
 def test_l_interval_union_singletons():
     u1 = l_interval_union(1)
     assert u1.intervals == ((-LOG2, 0.0),)

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from multlab.acceptance import DETERMINISM_CONFIGS
-from multlab.experiments import run_experiment
+from multlab.experiments import HQ_SCAN_DEFAULTS, run_experiment
 
 # sha256 of every table body at DETERMINISM_CONFIGS; any byte change fails
 GOLDEN_CSV_SHA256 = {
@@ -38,3 +38,18 @@ def test_manifest_elapsed_covers_run(tmp_path, name):
     elapsed = json.loads(res.manifest_path.read_text())["elapsed_seconds"]
     # the manifest rounds to the millisecond, so allow half of one
     assert elapsed >= 0.5 * wall - 0.0005, (elapsed, wall)
+
+
+def test_hq_scan_manifest_records_count_hq_timing(tmp_path):
+    cfg = dict(DETERMINISM_CONFIGS["hq-scan"])
+    res = run_experiment("hq-scan", cfg, tmp_path)
+    manifest = json.loads(res.manifest_path.read_text())
+    timings = manifest["summary"]["count_hq"]
+    rows = res.tables["hq_scan"]
+    assert [(t["q"], t["x"], t["y"], t["z"]) for t in timings] == \
+        [(r["q"], r["x"], r["y"], r["z"]) for r in rows]
+    assert all(t["method"] == HQ_SCAN_DEFAULTS["method"] for t in timings)
+    assert all(t["elapsed_seconds"] >= 0 for t in timings)
+    assert sum(t["elapsed_seconds"] for t in timings) <= manifest["elapsed_seconds"] + 0.001
+    header = (tmp_path / "hq_scan.csv").read_text().splitlines()[0]
+    assert "elapsed" not in header and "method" not in header

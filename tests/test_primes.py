@@ -197,3 +197,16 @@ def test_load_rejects_foreign_file(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(ValueError, match="magic"):
         load_prime_set(path)
+
+
+def test_load_rejects_truncated_file(tmp_path, ps_thinned):
+    path = tmp_path / "q.bin"
+    save_prime_set(ps_thinned, path)
+    whole = path.read_bytes()
+    for cut in (1, 1000):
+        path.write_bytes(whole[:-cut])
+        with pytest.raises(ValueError, match="truncated"):
+            load_prime_set(path)
+    path.write_bytes(whole + b"\x00")
+    with pytest.raises(ValueError, match="padded"):
+        load_prime_set(path)
