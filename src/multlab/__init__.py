@@ -4,23 +4,17 @@ functions, the Poisson phase transition, and order-statistic barriers."""
 
 from .primes import (
     DensityAudit,
-    IntervalDecomposition,
     PrimeSet,
-    build_lambda_intervals,
     density_audit,
-    lambda_growth_check,
-    load_prime_set,
     make_prime_set,
     mertens_sum,
     pi_q,
-    save_prime_set,
     sieve_primes,
 )
 from .divisors import (
     Factorization,
     IntervalUnion,
     divisors,
-    enumerate_p_smooth_sq,
     enumerate_sq,
     factorize,
     in_sq,
@@ -30,15 +24,10 @@ from .divisors import (
 )
 from .counting import (
     CountResult,
-    TqResult,
     count_aq,
     count_hq,
-    count_hq_star,
     count_rough,
     count_sq,
-    sum_l_over_a,
-    sum_recip_ab,
-    t_q,
 )
 from .poisson import (
     PoissonParams,
@@ -46,15 +35,12 @@ from .poisson import (
     classify_regime,
     e_factor,
     g_exponent,
-    h_k,
     key_identity_rhs,
     main_term,
     partial_poisson,
     poisson_params,
     poisson_sum,
     poisson_sum_log,
-    prop14_rhs,
-    v_sequence,
 )
 from .orderstats import (
     BarrierSpec,
@@ -62,12 +48,8 @@ from .orderstats import (
     barrier_events_mc,
     qk_exact,
     qk_mc,
-    qk_upper,
-    sample_ordered_uniforms,
-    t_region_mc,
     uk_mc,
     vol_lower_barrier_exact,
-    vol_sk_exact,
     vol_yk_mc,
     yk_membership,
 )

@@ -1,5 +1,5 @@
 """Counting functions on S_Q: integers with a divisor in an interval, distinct
-products, rough numbers, and reciprocal sums weighted by the interval measure L.
+products, and rough numbers.
 
 H_Q(x, y, z) counts n in S_Q, n <= x, having a divisor in (y, z]; A_Q(N) counts
 distinct products ab with a, b in S_Q up to N.  Two independent H_Q methods are
@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divisors import _merge_log_intervals, enumerate_sq
-from .primes import LOG2, PrimeSet, sieve_primes
+from .divisors import enumerate_sq
+from .primes import PrimeSet, sieve_primes
 
 MAX_X_BITMAP = 1 << 31
 MAX_X_EXHAUSTIVE = 1 << 21
-T_Q_DEFAULT_CAP = 10_000_000
 
 
 @dataclass
@@ -121,24 +120,12 @@ def _divisor_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, divs
 
 
-def _squarefree_bitmap(x: int) -> np.ndarray:
-    sf = np.ones(x + 1, dtype=bool)
-    sf[0] = False
-    for p in sieve_primes(max(math.isqrt(x), 2)):
-        p2 = int(p) * int(p)
-        if p2 > x:
-            break
-        sf[p2::p2] = False
-    return sf
-
-
 def count_hq(
     ps: PrimeSet,
     x: float,
     y: float,
     z: float,
     method: str = "divisor-multiples",
-    squarefree_only: bool = False,
 ) -> CountResult:
     """H_Q(x, y, z): members of S_Q up to x with a divisor in (y, z].
 
@@ -179,8 +166,6 @@ def count_hq(
             for d in range(d_lo, d_hi + 1):
                 if bm[d]:
                     marked[d::d] |= bm[d::d]
-        if squarefree_only:
-            marked &= _squarefree_bitmap(xi)
         value = int(np.count_nonzero(marked[1:]))
         return CountResult(value, x, y, z, desc, method, time.perf_counter() - t0)
 
@@ -194,18 +179,8 @@ def count_hq(
     np.cumsum(in_range, dtype=np.int32, out=hits[1:])
     del in_range
     members = np.array(enumerate_sq(ps, xi), dtype=np.int64)
-    if squarefree_only:
-        members = members[_squarefree_bitmap(xi)[members]]
     value = int(np.count_nonzero(hits[offsets[members + 1]] > hits[offsets[members]]))
     return CountResult(value, x, y, z, desc, method, time.perf_counter() - t0)
-
-
-def count_hq_star(ps: PrimeSet, x: float, y: float, z: float,
-                  method: str = "divisor-multiples") -> CountResult:
-    """Squarefree-restricted H_Q: same count with mu^2(n) = 1 enforced."""
-    res = count_hq(ps, x, y, z, method=method, squarefree_only=True)
-    res.method = method + "+squarefree"
-    return res
 
 
 def count_sq(ps: PrimeSet, x: float) -> int:
@@ -291,127 +266,3 @@ def count_rough(ps: PrimeSet, x: float, z: float) -> CountResult:
     value = int(np.count_nonzero(bm[1:]))
     return CountResult(value, x, None, z, ps.descriptor(), "bitmap",
                        time.perf_counter() - t0)
-
-
-def _squarefree_log_walk(primes: list[int], cap: int, max_depth: int | None = None):
-    """Yield (a, omega(a), ascending logs of the divisors of a) for a = 1 and
-    every squarefree product a <= cap of the ascending primes.  Nodes at
-    depth max_depth are not expanded.
-    """
-    stack: list[tuple[int, int, int, list[float]]] = [(1, 0, 0, [0.0])]
-    while stack:
-        a, i0, depth, logs = stack.pop()
-        yield a, depth, logs
-        if depth == max_depth:
-            continue
-        for i in range(i0, len(primes)):
-            nxt = a * primes[i]
-            if nxt > cap:
-                break
-            shifted = [t + math.log(primes[i]) for t in logs]
-            stack.append((nxt, i + 1, depth + 1, sorted(logs + shifted)))
-
-
-def sum_l_over_a(ps: PrimeSet, limit: int) -> float:
-    """Sum of L(a)/a over squarefree a in S_Q, a <= limit.
-
-    Walks the squarefree product tree carrying each node's sorted divisor
-    logs, so L(a) costs one interval merge per node.
-    """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    if ps.limit < limit:
-        raise ValueError(f"prime set materialized to {ps.limit} < limit = {limit}")
-    primes = [int(p) for p in ps.members[ps.members <= limit]]
-    return math.fsum(_merge_log_intervals(logs).measure / a
-                     for a, _, logs in _squarefree_log_walk(primes, limit))
-
-
-@dataclass
-class TqResult:
-    value: float
-    tail_bound: float
-    cap: int
-    n_terms: int
-
-
-def t_q(ps: PrimeSet, k: int, y: float, cap: int = T_Q_DEFAULT_CAP) -> TqResult:
-    """T_Q(k, 2y) = sum of L(a)/a over squarefree a in S_Q with omega(a) = k
-    and P+(a) <= 2y, truncated at a <= cap.
-
-    tail_bound dominates the dropped part: L(a) <= 2^k log 2 and the sum of
-    1/a over dropped a is at most e_k(1/p : p <= 2y) minus the enumerated part,
-    with e_k the elementary symmetric sum.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    bound = 2.0 * y
-    if ps.limit < bound:
-        raise ValueError(f"prime set materialized to {ps.limit} < 2y = {bound}")
-    primes = [int(p) for p in ps.members[ps.members <= bound]]
-
-    # exact-ish elementary symmetric sum e_k over 1/p, for the tail bound
-    e = [1.0] + [0.0] * k
-    for p in primes:
-        r = 1.0 / p
-        for j in range(min(k, len(e) - 1), 0, -1):
-            e[j] += e[j - 1] * r
-    e_k = e[k]
-
-    terms: list[float] = []
-    recip: list[float] = []
-    for a, depth, logs in _squarefree_log_walk(primes, cap, k):
-        if depth == k:
-            terms.append(_merge_log_intervals(logs).measure / a)
-            recip.append(1.0 / a)
-    covered = math.fsum(recip)
-    tail = LOG2 * (2.0**k) * max(0.0, e_k - covered)
-    return TqResult(math.fsum(terms), tail, cap, len(terms))
-
-
-def sum_recip_ab(ps: PrimeSet, dec, b: tuple[int, ...], cap: float = math.inf) -> float:
-    """Sum of 1/a over a built from b_j distinct Q-primes in each interval D_j.
-
-    D_j = (Lambda_{j-1}, Lambda_j] from the greedy decomposition; a <= cap.
-    """
-    b = tuple(int(v) for v in b)
-    if len(b) == 0 or len(b) > len(dec.lambda_seq):
-        raise ValueError(
-            f"composition length {len(b)} incompatible with {len(dec.lambda_seq)} intervals"
-        )
-    if any(v < 0 for v in b):
-        raise ValueError("composition entries must be >= 0")
-    if sum(b) > 12:
-        raise ValueError(f"sum of composition entries capped at 12, got {sum(b)}")
-
-    interval_primes: list[list[int]] = []
-    edges = (dec.lambda0,) + tuple(float(v) for v in dec.lambda_seq)
-    for j in range(len(b)):
-        lo, hi = edges[j], edges[j + 1]
-        i0 = bisect_right(ps.members, lo)
-        i1 = bisect_right(ps.members, hi)
-        interval_primes.append([int(p) for p in ps.members[i0:i1]])
-
-    terms: list[float] = []
-
-    def choose(j: int, prod: int) -> None:
-        if j == len(b):
-            terms.append(1.0 / prod)
-            return
-        pool = interval_primes[j]
-        need = b[j]
-
-        def combo(start: int, left: int, acc: int) -> None:
-            if left == 0:
-                choose(j + 1, acc)
-                return
-            for i in range(start, len(pool) - left + 1):
-                nxt = acc * pool[i]
-                if nxt > cap:
-                    break
-                combo(i + 1, left - 1, nxt)
-
-        combo(0, need, prod)
-
-    choose(0, 1)
-    return math.fsum(terms)

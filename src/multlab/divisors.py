@@ -3,7 +3,7 @@
     L(a) = meas( union over d|a of (log d - log 2, log d] )
 
 and the pair count W(a) = #{(d, d'): d|a, d'|a, |log(d/d')| <= log 2}.
-Also enumerators for S_Q, the integers composed only of primes from Q.
+Also the enumerator of S_Q, the integers composed only of primes from Q.
 """
 
 from __future__ import annotations
@@ -97,12 +97,18 @@ def in_sq(ps: PrimeSet, n: int) -> bool:
     return True
 
 
-def _product_tree(primes: np.ndarray, cap: int, step: int) -> list[int]:
-    """Ascending products of the ascending primes up to cap, 1 included.
+def enumerate_sq(ps: PrimeSet, x: float) -> list[int]:
+    """Ascending members of S_Q up to x, generated as products of Q-primes.
 
-    step 0 lets a product repeat a prime (prime powers allowed); step 1 uses
-    each prime at most once (distinct primes only).
+    Never filters the integers: builds products of Q-primes (with repetition)
+    directly, so the cost is about proportional to the output size.
     """
+    if x < 1:
+        return []
+    if ps.limit < x:
+        raise ValueError(f"prime set materialized to {ps.limit} < x = {x}")
+    cap = int(x)
+    primes = ps.members[ps.members <= cap]
     split = int(np.searchsorted(primes, math.isqrt(cap), side="right"))
     # Products of the primes up to sqrt(cap), grown one prime at a time from
     # the `live` products that the prime can still extend within cap.
@@ -114,8 +120,6 @@ def _product_tree(primes: np.ndarray, cap: int, step: int) -> list[int]:
         while layer.size:
             layer = layer * p
             grown.append(layer)
-            if step:
-                break
             layer = layer[layer <= cap // p]
         parts.extend(grown)
         live = np.concatenate([live, *grown])
@@ -129,30 +133,6 @@ def _product_tree(primes: np.ndarray, cap: int, step: int) -> list[int]:
     out = np.concatenate(parts)
     out.sort()
     return out.tolist()
-
-
-def enumerate_sq(ps: PrimeSet, x: float) -> list[int]:
-    """Ascending members of S_Q up to x, generated as products of Q-primes.
-
-    Never filters the integers: builds products of Q-primes (with repetition)
-    directly, so the cost is about proportional to the output size.
-    """
-    if x < 1:
-        return []
-    if ps.limit < x:
-        raise ValueError(f"prime set materialized to {ps.limit} < x = {x}")
-    cap = int(x)
-    return _product_tree(ps.members[ps.members <= cap], cap, 0)
-
-
-def enumerate_p_smooth_sq(ps: PrimeSet, z: float, cap: int) -> list[int]:
-    """Ascending squarefree members of S_Q with largest prime factor <= z, up to cap."""
-    if cap < 1:
-        return []
-    bound = min(float(z), float(cap))
-    if ps.limit < bound:
-        raise ValueError(f"prime set materialized to {ps.limit} < min(z, cap) = {bound}")
-    return _product_tree(ps.members[ps.members <= bound], int(cap), 1)
 
 
 @dataclass

@@ -25,6 +25,7 @@ from . import __version__
 from .config import ConfigError, merged_config, require_grid
 from .counting import count_aq, count_hq, count_sq
 from .orderstats import (
+    YK_MU,
     BarrierSpec,
     barrier_events_mc,
     qk_exact,
@@ -138,7 +139,7 @@ class _Reporter:
             "summary": self.result.summary,
             "files": self.files,
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-            "elapsed_seconds": round(time.perf_counter() - self.t0, 3),
+            "elapsed_seconds": round(time.perf_counter() - self.t0, 6),
         }
         path = self.result.out_dir / f"{self.result.name}_manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -219,6 +220,7 @@ def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
     limit = max(n_grid[-1], 16)
 
     rows = []
+    timings = []  # manifest only, as in hq-scan
     slopes = {}
     for desc in q_descs:
         ps = resolve_prime_set(str(desc), limit, cfg["seed"])
@@ -226,7 +228,10 @@ def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
         ratios = []
         for n in n_grid:
             sq = count_sq(ps, n)
-            aq = count_aq(ps, n).value
+            res = count_aq(ps, n)
+            aq = res.value
+            timings.append({"q": desc, "n": n, "method": res.method,
+                            "elapsed_seconds": round(res.elapsed, 6)})
             ratio = aq / sq**2
             ratios.append(ratio)
             rows.append({
@@ -240,6 +245,7 @@ def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
         trend = "decaying" if slope <= float(cfg["slope_threshold"]) else "flat"
         slopes[str(desc)] = {"slope": slope, "trend": trend, "delta": ps.delta}
     rep.result.summary["slopes"] = slopes
+    rep.result.summary["count_aq"] = timings
     rep.add_table("aq_dichotomy",
                   ["q", "delta", "n", "sq_count", "aq_count", "ratio"],
                   rows)
@@ -370,11 +376,11 @@ def run_smirnov(cfg: dict, rep: _Reporter) -> None:
             est = vol_yk_mc(k, vt, yc, ym, yn, base_seed, threads=rep.threads)
             bound = 0.5 * (vt - k + 1) / (vt * math.factorial(k))
             rows.append({"op": "yk_vol", "k": k, "v": vt, "C": yc, "M": ym,
-                         "mu": 1.0 / 7.0, "n": est.n_samples,
+                         "mu": YK_MU, "n": est.n_samples,
                          "estimate": est.estimate, "std_error": est.std_error,
                          "seed": est.seed})
             rows.append({"op": "yk_bound", "k": k, "v": vt, "C": yc, "M": ym,
-                         "mu": 1.0 / 7.0, "estimate": bound, "std_error": 0.0})
+                         "mu": YK_MU, "estimate": bound, "std_error": 0.0})
 
     rep.add_table("smirnov", _SMIRNOV_HEADER, rows)
 

@@ -4,7 +4,7 @@ Q_k(u, v) = P(xi_i >= (i - u)/v for all i) over the order statistics of k
 uniforms.  Exact values come from the Daniels product formula at u = 1 and
 from Steck's determinant for u < 1; constrained simplex volumes come from a
 recursive polynomial integration.  Monte Carlo estimators cover the barrier
-events, the Y_k region, and the exponential-sum integrals U_k and T(k, v, gamma).
+events, the Y_k region, and the exponential-sum integral U_k.
 """
 
 from __future__ import annotations
@@ -60,19 +60,9 @@ class BarrierSpec:
             raise ValueError(f"mu_exponent must be in (0, 0.5), got {self.mu_exponent}")
 
 
-def sample_ordered_uniforms(k: int, rng: np.random.Generator, method: str = "sort") -> np.ndarray:
-    """One draw of the k uniform order statistics."""
-    return _ordered_batch(rng, 1, k, method)[0]
-
-
-def _ordered_batch(rng: np.random.Generator, n: int, k: int, method: str = "sort") -> np.ndarray:
-    if method == "sort":
-        return np.sort(rng.random((n, k)), axis=1)
-    if method == "spacings":
-        e = rng.standard_exponential((n, k + 1))
-        cs = np.cumsum(e, axis=1)
-        return cs[:, :k] / cs[:, k:]
-    raise ValueError(f"unknown sampling method {method!r}")
+def _ordered_batch(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """n draws of the k uniform order statistics, one per row."""
+    return np.sort(rng.random((n, k)), axis=1)
 
 
 def _as_fraction(x) -> Fraction:
@@ -151,18 +141,6 @@ def qk_exact(u, v, k: int):
     return res if exact else float(res)
 
 
-def qk_upper(u: float, w: float, k: int) -> float:
-    """Order-of-magnitude upper bound (u+1)(w+1)/k for Q_k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return (u + 1.0) * (w + 1.0) / k
-
-
-def vol_sk_exact(u, v, k: int):
-    """Volume of the barrier region inside the ordered simplex: Q_k(u, v)/k!."""
-    return qk_exact(u, v, k) / math.factorial(k)
-
-
 def vol_lower_barrier_exact(lower_bounds):
     """Volume of {0 <= xi_1 <= ... <= xi_k <= 1, xi_i >= a_i} by recursive
     polynomial integration: F_0 = 1, F_i(t) = integral_{a_i}^t F_{i-1}.
@@ -194,12 +172,12 @@ def vol_lower_barrier_exact(lower_bounds):
 
 
 def qk_mc(u: float, v: float, k: int, n_samples: int, seed: int,
-          threads: int = 1, method: str = "sort") -> McEstimate:
+          threads: int = 1) -> McEstimate:
     """Monte Carlo Q_k(u, v) with binomial standard error."""
     thresholds = (np.arange(1, k + 1) - float(u)) / float(v)
 
     def block(rng, length):
-        s = _ordered_batch(rng, length, k, method)
+        s = _ordered_batch(rng, length, k)
         return int(np.count_nonzero(np.all(s >= thresholds, axis=1)))
 
     hits = sum(run_blocks(n_samples, seed, 101, block, threads))
@@ -334,19 +312,3 @@ def uk_mc(k: int, v: float, n_samples: int, seed: int, threads: int = 1) -> McEs
     kfac = float(math.factorial(k))
     return McEstimate(mean / kfac, math.sqrt(var / n_samples) / kfac,
                       n_samples, seed, n_samples)
-
-
-def t_region_mc(k: int, v: float, gamma: float, n_samples: int, seed: int,
-                threads: int = 1) -> McEstimate:
-    """Volume of {xi in ordered simplex : sum_{i<=j} 2^(v xi_i) >= 2^(j-gamma), all j <= k}."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    rhs = np.arange(1, k + 1, dtype=np.float64) - gamma
-
-    def block(rng, length):
-        s = _ordered_batch(rng, length, k)
-        log_cs = np.logaddexp2.accumulate(v * s, axis=1)
-        return int(np.count_nonzero(np.all(log_cs >= rhs, axis=1)))
-
-    hits = sum(run_blocks(n_samples, seed, 505, block, threads))
-    return McEstimate.from_hits(hits, n_samples, seed, k)

@@ -192,17 +192,6 @@ def main_term(x: float, y: float, delta: float) -> float:
     )
 
 
-def prop14_rhs(x: float, y: float, delta: float) -> float:
-    """x / ((log x)^(1-delta) (log y)^(1+delta)) times Sigma(2 delta loglog y, v)."""
-    if not (x >= y > math.e):
-        raise ValueError(f"need x >= y > e, got x={x}, y={y}")
-    params = poisson_params(math.log(math.log(y)), delta)
-    sigma = poisson_sum(params.lam, params.v)
-    return (
-        x * math.log(x) ** (delta - 1.0) * math.log(y) ** (-1.0 - delta) * float(sigma)
-    )
-
-
 @dataclass
 class RegimeReport:
     regime: str  # "i" .. "v"
@@ -255,39 +244,3 @@ def classify_regime(lam: float, v: int, epsilon: float) -> RegimeReport:
         regime, lam, v, theta, log_exact, log_env,
         math.exp(log_exact - log_env), log_a_v,
     )
-
-
-def h_k(lam, k: int) -> int:
-    """min{n >= 0 : lam^(k-n)/(k-n)! <= (1/2) lam^k/k!}, via ratio products.
-
-    The defining ratio lam^(k-n) k! / ((k-n)! lam^k) is the product of
-    (k-i+1)/lam for i = 1..n; no factorial is ever materialized.  Exact
-    comparisons when lam is an int or Fraction.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if lam <= 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    exact = _is_exact(lam)
-    prod = Fraction(1) if exact else 1.0
-    half = Fraction(1, 2) if exact else 0.5
-    for n in range(1, k + 1):
-        prod = prod * (k - n + 1) / lam
-        if prod <= half:
-            return n
-    raise ValueError(f"no n <= k = {k} satisfies the halving condition at lam = {lam}")
-
-
-def v_sequence(lam, v: int) -> list[int]:
-    """v_0 = v, v_{j+1} = v_j - h_{v_j}, stopping once v_{J+1} <= v/100.
-
-    Intended for regime-v style inputs (v < lam), where each step is >= 1."""
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
-    seq = [v]
-    cutoff = v / 100.0
-    while seq[-1] > cutoff:
-        step = h_k(lam, seq[-1])
-        assert step >= 1
-        seq.append(seq[-1] - step)
-    return seq

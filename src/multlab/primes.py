@@ -1,4 +1,4 @@
-"""Prime sets of prescribed relative density and their interval decompositions.
+"""Prime sets of prescribed relative density and their density audits.
 
 A prime set Q comes with a nominal density delta: the count of members up to x
 is expected to track delta * x / log x.  Three constructions are supported:
@@ -10,7 +10,6 @@ the set is a pure function of the seed).
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -89,7 +88,7 @@ class PrimeSet:
     params: dict = field(default_factory=dict)
 
     def descriptor(self) -> dict:
-        """JSON-safe summary used in manifests and serialized headers."""
+        """JSON-safe summary used in manifests and count results."""
         return {
             "kind": self.kind,
             "limit": int(self.limit),
@@ -177,15 +176,13 @@ class DensityAudit:
 
     kappa_hat is max over the grid of |pi_Q(x) - delta*x/log x| * (log x)^2 / x,
     the smallest constant making the two-term density bound hold on the grid.
-    mertens_constant_hat estimates C(Q) in sum_{p<=x} 1/p = delta*loglog x + C(Q) + O(1/log x);
-    residuals hold (x, |sum 1/p - delta*loglog x - C_hat| * log x) per grid point.
+    mertens_constant_hat estimates C(Q) in sum_{p<=x} 1/p = delta*loglog x + C(Q) + O(1/log x).
     """
 
     kappa_hat: float
     grid: tuple[float, ...]
     worst_x: float
     mertens_constant_hat: float
-    residuals: tuple[tuple[float, float], ...]
 
 
 def density_audit(ps: PrimeSet, grid) -> DensityAudit:
@@ -206,144 +203,4 @@ def density_audit(ps: PrimeSet, grid) -> DensityAudit:
 
     x_top = grid[-1]
     c_hat = mertens_sum(ps, x_top) - ps.delta * math.log(math.log(x_top))
-    residuals = tuple(
-        (
-            x,
-            abs(mertens_sum(ps, x) - ps.delta * math.log(math.log(x)) - c_hat) * math.log(x),
-        )
-        for x in grid
-    )
-    return DensityAudit(kappa_hat, tuple(grid), worst_x, c_hat, residuals)
-
-
-LAMBDA0 = 1.9
-
-
-@dataclass
-class IntervalDecomposition:
-    """Greedy split of Q into intervals D_j = (Lambda_{j-1}, Lambda_j].
-
-    Each interval packs members while sum of 1/p stays <= delta * log 2; the
-    next member of Q beyond Lambda_j would overflow the budget.
-    """
-
-    lambda_seq: tuple[int, ...]
-    lambda0: float
-    delta: float
-    budget: float  # delta * log 2
-    interval_sums: tuple[float, ...]
-    truncated: bool
-
-
-def build_lambda_intervals(ps: PrimeSet, j_count: int) -> IntervalDecomposition:
-    """Greedy interval decomposition with j_count intervals (fewer if truncated)."""
-    if j_count < 1:
-        raise ValueError(f"j_count must be >= 1, got {j_count}")
-    budget = ps.delta * LOG2
-    members = ps.members
-    lambdas: list[int] = []
-    sums: list[float] = []
-    idx = 0
-    truncated = False
-    for j in range(1, j_count + 1):
-        total = 0.0
-        comp = 0.0  # Neumaier compensation, O(1) per accepted prime
-        last = None
-        while idx < len(members):
-            p = int(members[idx])
-            term = 1.0 / p
-            if (total + comp) + term > budget:
-                break
-            fresh = total + term
-            if abs(total) >= term:
-                comp += (total - fresh) + term
-            else:
-                comp += (term - fresh) + total
-            total = fresh
-            last = p
-            idx += 1
-        if last is None:
-            if idx >= len(members):
-                truncated = True
-                break
-            raise ValueError(
-                f"degenerate interval {j}: 1/{int(members[idx])} alone exceeds budget {budget:.6g}"
-            )
-        if idx >= len(members):
-            # cannot certify the greedy stopping rule without the next member
-            truncated = True
-            break
-        lambdas.append(last)
-        sums.append(total + comp)
-    return IntervalDecomposition(
-        tuple(lambdas), LAMBDA0, ps.delta, budget, tuple(sums), truncated
-    )
-
-
-def lambda_growth_check(dec: IntervalDecomposition) -> float:
-    """max_j |log2(log Lambda_j) - j|; small values mean doubly exponential growth."""
-    if not dec.lambda_seq:
-        raise ValueError("empty interval decomposition")
-    return max(
-        abs(math.log2(math.log(lam)) - j) for j, lam in enumerate(dec.lambda_seq, start=1)
-    )
-
-
-# --- serialization ---
-
-_MAGIC = b"MLPS"
-_VERSION = 1
-
-
-def save_prime_set(ps: PrimeSet, path) -> None:
-    """Write a prime set as a compact binary bitmap with a JSON metadata header."""
-    meta = json.dumps(ps.descriptor(), sort_keys=True).encode("utf-8")
-    bitmap = np.zeros(ps.limit + 1, dtype=bool)
-    bitmap[ps.members] = True
-    packed = np.packbits(bitmap)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(_VERSION.to_bytes(4, "little"))
-        fh.write(len(meta).to_bytes(8, "little"))
-        fh.write(meta)
-        fh.write(packed.tobytes())
-
-
-def load_prime_set(path) -> PrimeSet:
-    """Inverse of save_prime_set; round-trips members and metadata exactly."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"not a prime set file (magic {magic!r})")
-        version = int.from_bytes(fh.read(4), "little")
-        if version != _VERSION:
-            raise ValueError(f"unsupported prime set file version {version}")
-        meta_len = int.from_bytes(fh.read(8), "little")
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        packed = np.frombuffer(fh.read(), dtype=np.uint8)
-    expected = (meta["limit"] + 8) // 8  # bytes of a packed bitmap over [0, limit]
-    if len(packed) != expected:
-        raise ValueError(
-            f"prime set payload holds {len(packed)} bytes, limit {meta['limit']} "
-            f"needs {expected}: file truncated or padded"
-        )
-    bitmap = np.unpackbits(packed)[: meta["limit"] + 1].astype(bool)
-    members = np.nonzero(bitmap)[0].astype(np.int64)
-    return PrimeSet(meta["kind"], meta["limit"], meta["delta"], members, meta["params"])
-
-
-def density_audit_csv_rows(ps: PrimeSet, audit: DensityAudit) -> list[dict]:
-    """Rows for the audit CSV: x, pi_q, delta_x_over_logx, scaled_residual."""
-    rows = []
-    for x in audit.grid:
-        expected = ps.delta * x / math.log(x)
-        count = pi_q(ps, x)
-        rows.append(
-            {
-                "x": x,
-                "pi_q": count,
-                "delta_x_over_logx": expected,
-                "scaled_residual": abs(count - expected) * math.log(x) ** 2 / x,
-            }
-        )
-    return rows
+    return DensityAudit(kappa_hat, tuple(grid), worst_x, c_hat)

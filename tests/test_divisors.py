@@ -6,7 +6,6 @@ import random
 import pytest
 
 from multlab import (
-    enumerate_p_smooth_sq,
     enumerate_sq,
     factorize,
     divisors,
@@ -100,24 +99,11 @@ def test_enumerate_sq_requires_materialized_primes():
         enumerate_sq(tiny, 100)
 
 
-def test_enumerate_p_smooth_sq(ps_all):
-    assert enumerate_p_smooth_sq(ps_all, 3, 100) == [1, 2, 3, 6]
-    assert enumerate_p_smooth_sq(ps_all, 5, 100) == [1, 2, 3, 5, 6, 10, 15, 30]
-    # cap below z clips the prime pool as well as the products
-    assert enumerate_p_smooth_sq(ps_all, 100, 10) == [1, 2, 3, 5, 6, 7, 10]
-    assert enumerate_p_smooth_sq(ps_all, 100, 0) == []
-
-
 @pytest.mark.parametrize("desc", ["thinned:0.4:7", "congruence:3:2", "congruence:8:1+3"])
 def test_walkers_match_brute_force(desc):
     ps = resolve_prime_set(desc, 3000)
     members = [n for n in range(1, 3001) if in_sq(ps, n)]
     assert enumerate_sq(ps, 3000) == members
-    for z in (2, 30, 500, 3000):
-        smooth = [n for n in members
-                  if factorize(n).mu_squared == 1 and factorize(n).p_plus <= z]
-        assert enumerate_p_smooth_sq(ps, z, 3000) == smooth
-
 
 
 @pytest.mark.parametrize("desc", ["all", "congruence:3:2", "congruence:8:1+3"])
@@ -126,10 +112,9 @@ def test_walkers_at_square_caps(desc):
     # growing smooth products to looping over cofactors of the large primes
     ps = resolve_prime_set(desc, 200)
     members = [n for n in range(1, 201) if in_sq(ps, n)]
-    squarefree = [n for n in members if factorize(n).mu_squared == 1]
     for cap in (1, 2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 200):
         assert enumerate_sq(ps, cap) == [n for n in members if n <= cap], cap
-        assert enumerate_p_smooth_sq(ps, 200, cap) == [n for n in squarefree if n <= cap], cap
+
 
 def test_l_interval_union_singletons():
     u1 = l_interval_union(1)

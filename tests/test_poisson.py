@@ -12,15 +12,12 @@ from multlab import (
     classify_regime,
     e_factor,
     g_exponent,
-    h_k,
     key_identity_rhs,
     main_term,
     partial_poisson,
     poisson_params,
     poisson_sum,
     poisson_sum_log,
-    prop14_rhs,
-    v_sequence,
 )
 from multlab.acceptance import (
     GAUSSIAN_POINTS,
@@ -177,20 +174,6 @@ def test_main_term_closed_form_point():
         main_term(10.0, 20.0, 0.5)  # x < y
 
 
-def test_prop14_rhs_v1_collapse():
-    x = math.exp(3.0)  # loglog y in [log 2, 2 log 2): v = 1, Sigma = lam
-    for delta in (0.3, 0.8, 1.0):
-        expected = x / 9.0 * 2.0 * delta * math.log(3.0)
-        assert prop14_rhs(x, x, delta) == pytest.approx(expected, rel=1e-12)
-
-
-def test_predictor_vs_prop14_window():
-    # the two forms agree up to the envelope of Sigma: ratio stays moderate
-    for delta in (0.3, 0.6, 0.9, 1.0):
-        ratio = main_term(1e12, 1e6, delta) / prop14_rhs(1e12, 1e6, delta)
-        assert 1e-2 <= ratio <= 1e2
-
-
 def test_classify_regime_examples():
     assert classify_regime(100.0, 100, 0.1).regime == "iii"
     assert classify_regime(110.0, 100, 0.05).regime == "iii"  # ties go to iii
@@ -225,51 +208,6 @@ def test_classify_regime_validation():
         classify_regime(0.0, 5, 0.1)
     with pytest.raises(ValueError):
         classify_regime(10.0, 5, 1.0)
-
-
-def test_h_k_examples():
-    assert h_k(2, 1) == 1
-    assert h_k(2, 2) == 2
-    assert h_k(10, 5) == 1
-    assert v_sequence(10, 9) == [9, 5, 4, 3, 2, 1, 0]
-    with pytest.raises(ValueError):
-        h_k(1, 1)  # ratio never drops to 1/2
-    with pytest.raises(ValueError):
-        h_k(0, 3)
-
-
-def test_h_k_minimality():
-    rng = random.Random(5)
-    nontrivial = 0
-    for _ in range(80):
-        lam = Fraction(rng.randint(2, 60), rng.randint(1, 4))
-        k = rng.randint(1, 30)
-
-        def ratio(m):
-            # lam^(k-m) k! / ((k-m)! lam^k), exactly
-            r = Fraction(1)
-            for i in range(1, m + 1):
-                r = r * (k - i + 1) / lam
-            return r
-
-        try:
-            n = h_k(lam, k)
-        except ValueError:
-            assert min(ratio(m) for m in range(1, k + 1)) > Fraction(1, 2)
-            continue
-        assert ratio(n) <= Fraction(1, 2)
-        assert all(ratio(m) > Fraction(1, 2) for m in range(1, n))
-        if n > 1:
-            nontrivial += 1
-    assert nontrivial >= 3
-
-
-def test_v_sequence_regime_v_style():
-    seq = v_sequence(500, 100)
-    assert seq == list(range(100, 0, -1))
-    assert seq[-1] <= 1
-    with pytest.raises(ValueError):
-        v_sequence(500, 0)
 
 
 def test_poisson_params():
