@@ -18,8 +18,9 @@ from multlab import (
     factorize,
     in_sq,
 )
+from multlab.divisors import l_measure
 from multlab.experiments import resolve_prime_set
-from multlab.primes import PrimeSet, make_prime_set
+from multlab.primes import LOG2, PrimeSet, make_prime_set
 
 
 def brute_hq(ps, x, y, z):
@@ -171,6 +172,20 @@ def test_count_rough_leaves_cache_intact(ps_1mod4):
     before = count_sq(ps_1mod4, 2000)
     count_rough(ps_1mod4, 2000, 50)
     assert count_sq(ps_1mod4, 2000) == before
+
+
+def test_squarefree_walk_matches_l_measure_on_thinned_set(ps_thinned):
+    limit = 3000
+    sf = [a for a in range(1, limit + 1)
+          if in_sq(ps_thinned, a) and factorize(a).mu_squared == 1]
+    walk = [a for a in enumerate_sq(ps_thinned, limit)
+            if factorize(a).mu_squared == 1]
+    assert walk == sf
+    # L(a) is log 2 plus each gap between consecutive log-divisors, capped at log 2
+    for a in sf:
+        logs = [math.log(d) for d in divisors(a)]
+        expected = LOG2 + math.fsum(min(LOG2, hi - lo) for lo, hi in zip(logs, logs[1:]))
+        assert l_measure(a) == pytest.approx(expected, rel=1e-12)
 
 
 def test_divisor_table_rows_match_divisors(monkeypatch):

@@ -18,7 +18,7 @@ from multlab import (
     vol_yk_mc,
     yk_membership,
 )
-from multlab.orderstats import _yk_hits, barrier_thresholds
+from multlab.orderstats import _ordered_batch, _yk_hits, barrier_thresholds
 from multlab.rng import block_generator
 
 SEED = 1234
@@ -85,6 +85,22 @@ def test_vol_lower_barrier_validation():
         vol_lower_barrier_exact([Fraction(3, 4), Fraction(1, 4)])
     with pytest.raises(ValueError):
         vol_lower_barrier_exact([Fraction(5, 4)])
+
+
+def test_sample_ordered_uniforms():
+    # the one sampler behind every MC estimator: sorted rows in [0, 1)
+    rng = np.random.default_rng(0)
+    k = 8
+    s = _ordered_batch(rng, 20_000, k)
+    assert s.shape == (20_000, k)
+    assert np.all(np.diff(s, axis=1) >= 0)
+    assert np.all((0 <= s) & (s < 1))
+    # the j-th of k uniform order statistics has mean j/(k+1) and
+    # variance j(k+1-j)/((k+1)^2 (k+2))
+    j = np.arange(1, k + 1)
+    se = np.sqrt(j * (k + 1 - j) / ((k + 1) ** 2 * (k + 2)) / len(s))
+    assert np.all(np.abs(s.mean(axis=0) - j / (k + 1)) <= 5 * se)
+    assert _ordered_batch(rng, 0, 3).shape == (0, 3)
 
 
 def test_qk_mc_matches_exact():
@@ -231,8 +247,8 @@ def test_uk_log_domain_continuity():
         uk_mc(0, 10.0, 100, SEED)
 
 
-def test_uk_matches_golden_values():
-    # recorded with numpy 2.4 on x86-64; no CSV covers this estimator
+def test_t_region_and_uk_match_golden_values():
+    # recorded with numpy 2.4 on x86-64; no CSV covers the U_k estimator
     u = uk_mc(4, 6.0, 30_000, 5)
     assert (u.estimate, u.std_error, u.hits) == (
         0.04074174665313703, 1.7584932841210564e-05, 30_000)

@@ -12,6 +12,7 @@ from multlab import (
     pi_q,
     sieve_primes,
 )
+from multlab.experiments import AUDIT_GRID_POINTS, audit_summary
 
 
 def primes_by_trial_division(limit):
@@ -115,6 +116,22 @@ def test_density_audit_grid_validation(ps_all):
         density_audit(ps_all, [8.0])
     with pytest.raises(ValueError):
         density_audit(ps_all, [16.0, 2 * ps_all.limit])
+
+
+def test_density_audit_csv_rows_consistent(ps_all):
+    grid = [100.0, 1000.0, 10_000.0]
+    audit = density_audit(ps_all, grid)
+    assert audit.grid == tuple(grid)
+    scaled = [abs(pi_q(ps_all, x) - ps_all.delta * x / math.log(x))
+              * math.log(x) ** 2 / x for x in grid]
+    assert audit.kappa_hat == pytest.approx(max(scaled), rel=1e-12)
+    assert audit.worst_x == grid[scaled.index(max(scaled))]
+    # each report's prime-set row carries the audit on the fixed grid
+    row = audit_summary(ps_all)
+    full = density_audit(ps_all, np.geomspace(16.0, ps_all.limit, AUDIT_GRID_POINTS))
+    assert (row["kappa_hat"], row["kappa_worst_x"], row["mertens_constant_hat"]) == (
+        full.kappa_hat, full.worst_x, full.mertens_constant_hat)
+    assert row["limit"] == ps_all.limit
 
 
 def test_mertens_sum_exact_prefix(ps_all):
