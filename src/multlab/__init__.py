@@ -51,7 +51,6 @@ from .orderstats import (
     uk_mc,
     vol_lower_barrier_exact,
     vol_yk_mc,
-    yk_membership,
 )
 
 __version__ = "0.1.0"

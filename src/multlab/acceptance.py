@@ -23,7 +23,13 @@ import numpy as np
 
 from .counting import count_aq, count_hq, count_rough
 from .divisors import factorize, l_measure, w_count
-from .experiments import DEFAULT_SEED, resolve_prime_set, run_experiment
+from .experiments import (
+    DEFAULT_SEED,
+    HQ_SCAN_DEFAULTS,
+    SMIRNOV_DEFAULTS,
+    resolve_prime_set,
+    run_experiment,
+)
 from .orderstats import (
     BarrierSpec,
     barrier_events_mc,
@@ -47,13 +53,14 @@ from .primes import LOG2, PrimeSet
 from .rng import block_generator
 
 # ---------------------------------------------------------------------------
-# pinned grids and tolerances (changing any of these changes what is accepted)
+# pinned grids and tolerances (changing any of these changes what is accepted);
+# grids the experiments also run come from their *_DEFAULTS
 
 IDENTITY_V_MAX = 60
 
-DANIELS_KS = range(1, 9)
-DANIELS_V_OFFSETS = range(0, 5)
-DANIELS_US = (Fraction(1, 2), Fraction(1))
+DANIELS_KS = tuple(SMIRNOV_DEFAULTS["daniels_k"])
+DANIELS_V_OFFSETS = tuple(SMIRNOV_DEFAULTS["daniels_v_offset"])
+DANIELS_US = tuple(Fraction(u) for u in SMIRNOV_DEFAULTS["daniels_u"])
 DANIELS_MC_SAMPLES = 1_000_000
 DANIELS_MC_SIGMA = 4.0
 DANIELS_MC_PASS_FRACTION = 0.99
@@ -99,16 +106,12 @@ REGIME_GRID = (
 GAUSSIAN_POINTS = (100, 10_000)
 GAUSSIAN_REL_SLACK = 1e-9
 
-BARRIER_K = 20
-BARRIER_V = 20.0
-BARRIER_MU = 1.0 / 6.0 - 1.0 / 42.0
-BARRIER_C_GRID = (5.0, 10.0, 20.0, 40.0)
 BARRIER_SAMPLES = 1_000_000
 BARRIER_FINAL_MIN = 0.9
 
 YK_KS = range(2, 11)
-YK_C = 40.0
-YK_M = 5
+YK_C = float(SMIRNOV_DEFAULTS["yk_c"])
+YK_M = int(SMIRNOV_DEFAULTS["yk_m"])
 YK_SAMPLES = 200_000
 YK_SAFETY = 0.5
 YK_SIGMA = 4.0
@@ -117,8 +120,6 @@ UK_KS = range(1, 13)
 UK_V_OFFSETS = range(0, 7)
 UK_SAMPLES = 100_000
 
-HQ_X = 10_000_000
-HQ_Y_GRID = (100.0, 316.22776601683796, 1000.0)
 HQ_SPREAD_MAX = 3.0
 
 FIXTURE_REL_TOL = 1e-6
@@ -397,9 +398,12 @@ def _crit_gaussian(ctx: Context) -> tuple[bool, str]:
 
 
 def _crit_barrier(ctx: Context) -> tuple[bool, str]:
+    cfg = SMIRNOV_DEFAULTS
+    specs = [BarrierSpec(int(cfg["barrier_k"]), float(cfg["barrier_v"]), float(c),
+                         int(cfg["barrier_m_offset"]), float(cfg["barrier_mu"]))
+             for c in cfg["barrier_c"]]
     conds = []
-    for c in BARRIER_C_GRID:
-        spec = BarrierSpec(BARRIER_K, BARRIER_V, c, 0, BARRIER_MU)
+    for spec in specs:
         _, _, p_cond = barrier_events_mc(spec, BARRIER_SAMPLES, ctx.seed,
                                          threads=ctx.threads)
         conds.append(p_cond.estimate)
@@ -407,17 +411,16 @@ def _crit_barrier(ctx: Context) -> tuple[bool, str]:
         if hi < lo:
             return False, f"conditioning not monotone: {conds}"
     if conds[-1] < BARRIER_FINAL_MIN:
-        return False, f"p(strong|weak) at C={BARRIER_C_GRID[-1]} is {conds[-1]:.4f} < {BARRIER_FINAL_MIN}"
+        return False, f"p(strong|weak) at C={specs[-1].c_shift} is {conds[-1]:.4f} < {BARRIER_FINAL_MIN}"
 
-    spec = BarrierSpec(BARRIER_K, BARRIER_V, BARRIER_C_GRID[0], 0, BARRIER_MU)
-    weak, strong = barrier_thresholds(spec)
+    weak, strong = barrier_thresholds(specs[0])
     rng = block_generator(ctx.seed, 909, 0)
-    s = np.sort(rng.random((100_000, BARRIER_K)), axis=1)
+    s = np.sort(rng.random((100_000, specs[0].k)), axis=1)
     raw_strong = np.all(s >= strong, axis=1)
     in_weak = np.all(s >= weak, axis=1)
     if np.any(raw_strong & ~in_weak):
         return False, "containment violated: strong event outside weak event"
-    curve = ", ".join(f"C={c:g}: {p:.4f}" for c, p in zip(BARRIER_C_GRID, conds))
+    curve = ", ".join(f"C={sp.c_shift:g}: {p:.4f}" for sp, p in zip(specs, conds))
     return True, curve + "; containment exact on 100000 samples"
 
 
@@ -466,13 +469,15 @@ def _crit_uk(ctx: Context) -> tuple[bool, str]:
 
 
 def _hq_ratios(ctx: Context) -> dict[str, list[float]]:
+    (x,) = HQ_SCAN_DEFAULTS["x_grid"]  # the fixture bands hold one x
+    zf = float(HQ_SCAN_DEFAULTS["z_factor"])
     out = {}
     for kind, delta in (("all", 1.0), ("1mod4", 0.5)):
-        ps = ctx.prime_set(kind, HQ_X)
+        ps = ctx.prime_set(kind, x)
         ratios = []
-        for y in HQ_Y_GRID:
-            h = count_hq(ps, float(HQ_X), y, 2.0 * y).value
-            ratios.append(h / main_term(float(HQ_X), y, delta))
+        for y in HQ_SCAN_DEFAULTS["y_grid"]:
+            h = count_hq(ps, float(x), y, zf * y).value
+            ratios.append(h / main_term(float(x), y, delta))
         out[kind] = ratios
     return out
 

@@ -31,9 +31,9 @@ def _env_out() -> str:
 def _env_threads() -> int:
     raw = os.environ.get("MULTLAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        return int(raw)
     except ValueError:
-        raise SystemExit(f"MULTLAB_THREADS must be an integer, got {raw!r}")
+        raise ConfigError(f"MULTLAB_THREADS must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +76,7 @@ def _resolved(args) -> tuple[Path, int]:
     out_dir = args.out if args.out is not None else Path(_env_out())
     threads = args.threads if args.threads is not None else _env_threads()
     if threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {threads}")
+        raise ConfigError(f"--threads / MULTLAB_THREADS must be >= 1, got {threads}")
     return out_dir, threads
 
 

@@ -2,8 +2,10 @@
 products, and rough numbers.
 
 H_Q(x, y, z) counts n in S_Q, n <= x, having a divisor in (y, z]; A_Q(N) counts
-distinct products ab with a, b in S_Q up to N.  Two independent H_Q methods are
-kept deliberately separate so they cross-validate each other.
+distinct products ab with a, b in S_Q up to N, by one segmented bitmap over
+[1, N^2].  Two independent H_Q methods are kept deliberately separate so they
+cross-validate each other.  S_Q membership up to x is a view of the prime set's
+own bitmap, which each set builds once, to its limit.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divisors import enumerate_sq
-from .primes import PrimeSet, sieve_primes
+from .primes import PrimeSet
 
-MAX_X_BITMAP = 1 << 31
 MAX_X_EXHAUSTIVE = 1 << 21
 
 
@@ -34,56 +35,12 @@ class CountResult:
     warning: str | None = None
 
 
-# Keyed by prime-set descriptor, not object identity: equal descriptors give
-# equal membership, so reuse across calls is sound.  Callers must not mutate.
-_SQ_BITMAP_CACHE: dict[tuple, np.ndarray] = {}
-_SQ_BITMAP_CACHE_SLOTS = 4
-
-
 def _sq_bitmap(ps: PrimeSet, x: int) -> np.ndarray:
-    """Membership bitmap of S_Q over [0, x]: True at n iff all prime factors in Q.
-
-    Built by clearing multiples of the primes *outside* Q (complement sieve):
-    strided per prime up to sqrt(x), per cofactor beyond it.  Index 0 is
-    False, index 1 is True.
-    """
-    if x > MAX_X_BITMAP:
-        raise ValueError(f"x = {x} beyond bitmap cap {MAX_X_BITMAP}")
+    """Membership bitmap of S_Q over [0, x]: a view of the set's own bitmap."""
+    # a slice past the end is silently short, so an x beyond the limit is an error
     if ps.limit < x:
         raise ValueError(f"prime set materialized to {ps.limit} < x = {x}")
-    tag = (ps.kind, ps.limit, repr(sorted(ps.params.items())))
-    key = (tag, x)
-    cached = _SQ_BITMAP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    for (k_tag, k_x), bm in _SQ_BITMAP_CACHE.items():
-        if k_tag == tag and k_x >= x:
-            return bm[: x + 1]  # view of a longer bitmap; callers never mutate
-    bm = np.ones(x + 1, dtype=bool)
-    bm[0] = False
-    if ps.kind != "all" and x >= 2:
-        primes = sieve_primes(x)
-        members = ps.members[: np.searchsorted(ps.members, x, side="right")]
-        at = np.minimum(np.searchsorted(primes, members), len(primes) - 1)
-        if not np.array_equal(primes[at], members):
-            raise ValueError("prime set members are not primes")
-        outside = np.ones(len(primes), dtype=bool)
-        outside[at] = False
-        excluded = primes[outside]
-        del primes, members, at, outside
-        split = int(np.searchsorted(excluded, math.isqrt(x), side="right"))
-        for p in excluded[:split].tolist():
-            bm[p::p] = False
-        # A multiple k*p <= x of an excluded p > sqrt(x) has k < sqrt(x), so
-        # loop over the cofactor k and clear every such p at once.
-        large = excluded[split:]
-        k_max = x // int(large[0]) if len(large) else 0
-        for k in range(1, k_max + 1):
-            bm[large[: np.searchsorted(large, x // k, side="right")] * k] = False
-    while len(_SQ_BITMAP_CACHE) >= _SQ_BITMAP_CACHE_SLOTS:
-        _SQ_BITMAP_CACHE.pop(next(iter(_SQ_BITMAP_CACHE)))
-    _SQ_BITMAP_CACHE[key] = bm
-    return bm
+    return ps.sq_bitmap[: x + 1]
 
 
 # CSR divisor table: ascending divisors of every n <= n_max, built once.
@@ -193,7 +150,6 @@ def count_sq(ps: PrimeSet, x: float) -> int:
 
 # The cap is what keeps every product a*b <= N^2 = 1e12 inside int64.
 MAX_N_AQ = 1_000_000
-_AQ_SET_PAIR_CAP = 2_000_000
 _AQ_SEGMENT = 1 << 24
 
 
@@ -206,19 +162,6 @@ def count_aq(ps: PrimeSet, n_bound: int) -> CountResult:
     if n_bound > MAX_N_AQ:
         raise ValueError(f"count_aq capped at N <= {MAX_N_AQ}, got {n_bound}")
     members = np.array(enumerate_sq(ps, n_bound), dtype=np.int64)
-    m = len(members)
-    desc = ps.descriptor()
-
-    if m * (m + 1) // 2 <= _AQ_SET_PAIR_CAP:
-        products: set[int] = set()
-        mem = [int(v) for v in members]
-        for i, a in enumerate(mem):
-            for b in mem[i:]:
-                products.add(a * b)
-        return CountResult(
-            len(products), n_bound, None, None, desc, "product-set",
-            time.perf_counter() - t0,
-        )
 
     # segmented bitmap over [1, N^2]: mark a*b window by window
     total = 0
@@ -245,8 +188,8 @@ def count_aq(ps: PrimeSet, n_bound: int) -> CountResult:
                 if j0 < j1:
                     seg[members[j0:j1] * a - lo] = True
         total += int(np.count_nonzero(seg))
-    return CountResult(total, n_bound, None, None, desc, "segmented-bitmap",
-                       time.perf_counter() - t0)
+    return CountResult(total, n_bound, None, None, ps.descriptor(),
+                       "segmented-bitmap", time.perf_counter() - t0)
 
 
 def count_rough(ps: PrimeSet, x: float, z: float) -> CountResult:
@@ -255,7 +198,7 @@ def count_rough(ps: PrimeSet, x: float, z: float) -> CountResult:
     if x < 1:
         raise ValueError(f"count_rough requires x >= 1, got {x}")
     xi = int(math.floor(x))
-    bm = _sq_bitmap(ps, xi).copy()  # mutated below, cache must stay intact
+    bm = _sq_bitmap(ps, xi).copy()  # mutated below; the set's bitmap is read-only
     k = bisect_right(ps.members, z)
     for q in ps.members[:k]:
         q = int(q)

@@ -197,9 +197,3 @@ def _w_count_sorted(divs) -> int:
         count += hi - lo + 1
     return count
 
-
-def tau_from_factors(factors) -> int:
-    t = 1
-    for _, e in factors:
-        t *= e + 1
-    return t

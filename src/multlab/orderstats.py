@@ -228,24 +228,13 @@ def barrier_events_mc(spec: BarrierSpec, n_samples: int, seed: int,
             McEstimate.from_hits(s_hits, b_hits, seed))
 
 
-def yk_membership(xi, k: int, v_tilde: float, c_shift: float, m_offset: int) -> bool:
-    """Does a sorted point of the simplex lie in the region Y_k(v_tilde, C)?
+def _yk_hits(s: np.ndarray, k: int, v_tilde: float, c_shift: float, m_offset: int) -> np.ndarray:
+    """Which rows of sorted points s lie in the region Y_k(v_tilde, C)?
 
     Conditions: (ii) xi_{M+i^2} > i/v and xi_{k+1-(M+i^2)} < 1 - i/v for
     1 <= i <= floor(sqrt(k - M)) (empty when k <= M); (iii) the strong lower
     barrier v*xi_i >= max(i-1, i + min(i, k-i)^(1/7) - C) at every i.
     """
-    xi = np.asarray(xi, dtype=np.float64)
-    if xi.shape != (k,):
-        raise ValueError(f"expected {k} coordinates, got shape {xi.shape}")
-    if np.any(xi < 0) or np.any(xi > 1):
-        raise ValueError("coordinates must lie in [0, 1]")
-    if np.any(np.diff(xi) < 0):
-        raise ValueError("coordinates must be sorted ascending")
-    return bool(_yk_hits(xi[None, :], k, v_tilde, c_shift, m_offset)[0])
-
-
-def _yk_hits(s: np.ndarray, k: int, v_tilde: float, c_shift: float, m_offset: int) -> np.ndarray:
     i, bump = _barrier_bump(k, YK_MU)
     lower = np.maximum(i - 1.0, i + bump - c_shift) / v_tilde
     ok = np.all(s >= lower, axis=1)

@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 LOG2 = math.log(2.0)
+MAX_X_BITMAP = 1 << 31
 
 _MASK64 = (1 << 64) - 1
 
@@ -96,6 +98,42 @@ class PrimeSet:
             "params": self.params,
             "count": int(len(self.members)),
         }
+
+    @cached_property
+    def sq_bitmap(self) -> np.ndarray:
+        """Read-only membership bitmap of S_Q over [0, limit]: True at n iff
+        all prime factors of n are in Q.  Index 0 is False, index 1 is True.
+
+        Built once per set, on first use, by clearing multiples of the primes
+        *outside* Q (complement sieve): strided per prime up to sqrt(limit),
+        per cofactor beyond it.
+        """
+        x = int(self.limit)
+        if x > MAX_X_BITMAP:
+            raise ValueError(f"limit = {x} beyond bitmap cap {MAX_X_BITMAP}")
+        bm = np.ones(x + 1, dtype=bool)
+        bm[0] = False
+        if self.kind != "all" and x >= 2:
+            primes = sieve_primes(x)
+            members = self.members[: np.searchsorted(self.members, x, side="right")]
+            at = np.minimum(np.searchsorted(primes, members), len(primes) - 1)
+            if not np.array_equal(primes[at], members):
+                raise ValueError("prime set members are not primes")
+            outside = np.ones(len(primes), dtype=bool)
+            outside[at] = False
+            excluded = primes[outside]
+            del primes, members, at, outside
+            split = int(np.searchsorted(excluded, math.isqrt(x), side="right"))
+            for p in excluded[:split].tolist():
+                bm[p::p] = False
+            # A multiple k*p <= x of an excluded p > sqrt(x) has k < sqrt(x), so
+            # loop over the cofactor k and clear every such p at once.
+            large = excluded[split:]
+            k_max = x // int(large[0]) if len(large) else 0
+            for k in range(1, k_max + 1):
+                bm[large[: np.searchsorted(large, x // k, side="right")] * k] = False
+        bm.flags.writeable = False
+        return bm
 
 
 def make_prime_set(

@@ -98,11 +98,12 @@ def test_out_env_fallback(tmp_path, monkeypatch):
     assert (flag_dir / "hq_scan.csv").exists()
 
 
-def test_threads_env_validation(tmp_path, monkeypatch):
+def test_threads_env_validation(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path, HQ_MINI)
-    monkeypatch.setenv("MULTLAB_THREADS", "many")
-    with pytest.raises(SystemExit, match="MULTLAB_THREADS"):
-        main(["hq-scan", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    for raw in ("many", "0"):
+        monkeypatch.setenv("MULTLAB_THREADS", raw)
+        assert main(["hq-scan", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert "MULTLAB_THREADS" in capsys.readouterr().err
     monkeypatch.delenv("MULTLAB_THREADS")
     assert main(["hq-scan", "--config", str(cfg), "--out", str(tmp_path / "x"),
                  "--threads", "0"]) == 2  # ConfigError path

@@ -116,7 +116,7 @@ def test_count_aq_known_values(ps_all):
     assert count_aq(ps_all, 4).value == 9
     res = count_aq(ps_all, 1000)
     assert res.value == 248083  # distinct entries of the 1000 x 1000 table
-    assert res.method == "product-set"
+    assert res.method == "segmented-bitmap"
 
 
 def test_count_aq_matches_outer_product(ps_all, ps_1mod4, ps_thinned):
@@ -127,7 +127,7 @@ def test_count_aq_matches_outer_product(ps_all, ps_1mod4, ps_thinned):
 
 
 def test_count_aq_segmented_path(ps_all, ps_1mod4, ps_thinned, monkeypatch):
-    monkeypatch.setattr(counting, "_AQ_SET_PAIR_CAP", 1000)
+    # segments far shorter than N^2 = 2.25e6, so marks cross segment edges
     monkeypatch.setattr(counting, "_AQ_SEGMENT", 1 << 17)
     for ps, n in ((ps_all, 1500), (ps_1mod4, 1500), (ps_thinned, 1500)):
         res = count_aq(ps, n)
@@ -162,7 +162,7 @@ def test_count_rough_matches_brute_force(ps_1mod4):
 
 def test_count_sq_matches_enumeration(ps_1mod4, ps_all):
     assert count_sq(ps_1mod4, 3000) == len(enumerate_sq(ps_1mod4, 3000))
-    # shorter prefix served from the cached longer bitmap
+    # a shorter prefix of the same set's bitmap
     assert count_sq(ps_1mod4, 800) == len(enumerate_sq(ps_1mod4, 800))
     assert count_sq(ps_all, 500) == 500
     assert count_sq(ps_all, 0) == 0
@@ -207,27 +207,37 @@ BITMAP_XS = (1, 2, 3, 4, 48, 49, 50, 120, 121, 2000)
 
 
 @pytest.mark.parametrize("desc", BITMAP_SETS)
-def test_sq_bitmap_matches_in_sq(desc, monkeypatch):
+def test_sq_bitmap_matches_in_sq(desc):
     ps = resolve_prime_set(desc, 2000)
     expected = [False] + [in_sq(ps, n) for n in range(1, 2001)]
-    monkeypatch.setattr(counting, "_SQ_BITMAP_CACHE", {})
     for x in BITMAP_XS:
-        counting._SQ_BITMAP_CACHE.clear()
-        assert counting._sq_bitmap(ps, x).tolist() == expected[: x + 1], x
-    # with the x = 2000 bitmap cached, shorter ones are views of its prefix
-    full = counting._sq_bitmap(ps, 2000)
+        if x >= 2:  # a prime set needs limit >= 2
+            fresh = resolve_prime_set(desc, x)
+            assert counting._sq_bitmap(fresh, x).tolist() == expected[: x + 1], x
+    # shorter bitmaps of one set are views of its limit-2000 bitmap
+    full = ps.sq_bitmap
     for x in BITMAP_XS:
         bm = counting._sq_bitmap(ps, x)
         assert np.shares_memory(bm, full)
         assert bm.tolist() == expected[: x + 1], x
 
 
-def test_sq_bitmap_rejects_non_prime_members(monkeypatch):
-    monkeypatch.setattr(counting, "_SQ_BITMAP_CACHE", {})
+def test_sq_bitmap_rejects_non_prime_members():
     bogus = PrimeSet("congruence", 100, 0.5, np.array([3, 9, 11], dtype=np.int64),
                      {"modulus": 2, "residues": [1]})
     with pytest.raises(ValueError, match="not primes"):
         counting._sq_bitmap(bogus, 100)
+
+
+def test_sq_bitmap_belongs_to_its_prime_set():
+    # equal descriptors, different members: each set must count its own S_Q
+    params = {"modulus": 2, "residues": [1]}
+    sets = [PrimeSet("congruence", 100, 0.5, np.array(m, dtype=np.int64), params)
+            for m in ([3, 5, 7], [3, 11, 13])]
+    assert sets[0].descriptor() == sets[1].descriptor()
+    for ps in sets:
+        expected = sum(in_sq(ps, n) for n in range(1, 101))
+        assert count_sq(ps, 100) == expected
 
 
 @pytest.mark.parametrize("desc", ("congruence:3:2", "congruence:8:1+3"))
@@ -243,17 +253,17 @@ def test_count_hq_methods_agree_on_other_moduli(desc):
         assert count_hq(ps, x, y, z, method="exhaustive").value == a
 
 
-def test_count_hq_methods_stay_independent(ps_1mod4, monkeypatch):
+def test_count_hq_methods_stay_independent(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("shared machinery between the two H_Q methods")
 
     x, y, z = 5000, 40.0, 900.0
-    expected = count_hq(ps_1mod4, x, y, z).value
+    ps = make_prime_set("congruence", x, modulus=4, residues=(1,))  # no bitmap yet
     with monkeypatch.context() as m:
         m.setattr(counting, "_sq_bitmap", forbidden)
-        assert count_hq(ps_1mod4, x, y, z, method="exhaustive").value == expected
+        expected = count_hq(ps, x, y, z, method="exhaustive").value
     with monkeypatch.context() as m:
         m.setattr(counting, "_divisor_table", forbidden)
         m.setattr(counting, "enumerate_sq", forbidden)
-        m.setattr(counting, "_SQ_BITMAP_CACHE", {})  # build, not reuse
-        assert count_hq(ps_1mod4, x, y, z, method="divisor-multiples").value == expected
+        assert "sq_bitmap" not in vars(ps)  # built inside the next call
+        assert count_hq(ps, x, y, z, method="divisor-multiples").value == expected

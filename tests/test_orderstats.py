@@ -16,7 +16,6 @@ from multlab import (
     uk_mc,
     vol_lower_barrier_exact,
     vol_yk_mc,
-    yk_membership,
 )
 from multlab.orderstats import _ordered_batch, _yk_hits, barrier_thresholds
 from multlab.rng import block_generator
@@ -175,22 +174,16 @@ def test_barrier_spec_validation():
             BarrierSpec(**{**good, field: bad})
 
 
-def test_yk_membership_interval_for_k1():
+def test_yk_hits_interval_for_k1():
+    def member(xi, m_offset):
+        return bool(_yk_hits(np.array([xi]), 1, 5.0, 2.0, m_offset)[0])
+
     # k = 1, M = 0: condition (ii) forces xi in (1/v, 1 - 1/v); barrier is moot at C >= 1
-    assert yk_membership([0.5], 1, 5.0, 2.0, 0)
-    assert not yk_membership([0.1], 1, 5.0, 2.0, 0)
-    assert not yk_membership([0.9], 1, 5.0, 2.0, 0)
+    assert member([0.5], 0)
+    assert not member([0.1], 0)
+    assert not member([0.9], 0)
     # M >= k empties condition (ii)
-    assert yk_membership([0.05], 1, 5.0, 2.0, 1)
-
-
-def test_yk_membership_validation():
-    with pytest.raises(ValueError):
-        yk_membership([0.5, 0.2], 2, 5.0, 2.0, 0)  # unsorted
-    with pytest.raises(ValueError):
-        yk_membership([0.5], 2, 5.0, 2.0, 0)  # wrong length
-    with pytest.raises(ValueError):
-        yk_membership([1.5], 1, 5.0, 2.0, 0)  # outside [0, 1]
+    assert member([0.05], 1)
 
 
 def test_vol_yk_k1_interval():
