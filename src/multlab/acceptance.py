@@ -17,10 +17,12 @@ import filecmp
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError
 from .counting import count_aq, count_hq, count_rough
 from .divisors import factorize, l_measure, w_count
 from .experiments import (
@@ -31,6 +33,7 @@ from .experiments import (
     run_experiment,
 )
 from .orderstats import (
+    YK_SAFETY,  # noqa: F401  (perfbench reads acceptance.YK_SAFETY)
     BarrierSpec,
     barrier_events_mc,
     barrier_thresholds,
@@ -39,6 +42,7 @@ from .orderstats import (
     uk_mc,
     vol_lower_barrier_exact,
     vol_yk_mc,
+    yk_bound,
 )
 from .poisson import (
     classify_regime,
@@ -113,7 +117,6 @@ YK_KS = range(2, 11)
 YK_C = float(SMIRNOV_DEFAULTS["yk_c"])
 YK_M = int(SMIRNOV_DEFAULTS["yk_m"])
 YK_SAMPLES = 200_000
-YK_SAFETY = 0.5
 YK_SIGMA = 4.0
 
 UK_KS = range(1, 13)
@@ -181,6 +184,22 @@ def _within_band(value: float, band, rel: float = FIXTURE_REL_TOL) -> bool:
     return lo * (1.0 - rel) <= value <= hi * (1.0 + rel)
 
 
+def _check_bands(values: dict[str, list[float]], fixture: dict,
+                 spread_max: float) -> tuple[bool, str]:
+    """Per prime set: spread max/min at most spread_max, and each value
+    within FIXTURE_REL_TOL of its fixture value."""
+    notes = []
+    for kind, vals in values.items():
+        spread = max(vals) / min(vals)
+        if spread > spread_max:
+            return False, f"spread {spread:.3f} > {spread_max} for {kind}"
+        for got, want in zip(vals, fixture[kind], strict=True):
+            if abs(got / want - 1.0) > FIXTURE_REL_TOL:
+                return False, f"regression drift for {kind}: {got} vs fixture {want}"
+        notes.append(f"{kind}: spread {spread:.3f}")
+    return True, "; ".join(notes)
+
+
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -197,23 +216,17 @@ def _crit_identity(ctx: Context) -> tuple[bool, str]:
     return True, f"{checked} rational identity checks, all exact"
 
 
-def _daniels_grid():
-    for k in DANIELS_KS:
-        for off in DANIELS_V_OFFSETS:
-            for u in DANIELS_US:
-                yield u, k + off, k
-
-
 def _crit_daniels(ctx: Context) -> tuple[bool, str]:
-    for u, v, k in _daniels_grid():
+    points = failures = 0
+    worst = 0.0
+    grid = product(DANIELS_KS, DANIELS_V_OFFSETS, DANIELS_US)
+    for idx, (k, off, u) in enumerate(grid):
+        v = k + off
         q = qk_exact(u, v, k)
         bounds = [max(Fraction(0), Fraction(i - u, v)) for i in range(1, k + 1)]
         if q != math.factorial(k) * vol_lower_barrier_exact(bounds):
             return False, f"exact mismatch at u={u}, v={v}, k={k}"
-    points = failures = 0
-    worst = 0.0
-    for idx, (u, v, k) in enumerate(_daniels_grid()):
-        exact = float(qk_exact(u, v, k))
+        exact = float(q)
         est = qk_mc(float(u), v, k, DANIELS_MC_SAMPLES, ctx.seed + idx,
                     threads=ctx.threads)
         if est.std_error == 0.0:  # degenerate points where Q_k = 0 or 1
@@ -225,7 +238,7 @@ def _crit_daniels(ctx: Context) -> tuple[bool, str]:
         if dev > DANIELS_MC_SIGMA:
             failures += 1
     ok = failures <= points * (1.0 - DANIELS_MC_PASS_FRACTION)
-    return ok, (f"80 exact equalities; MC {points - failures}/{points} within "
+    return ok, (f"{points} exact equalities; MC {points - failures}/{points} within "
                 f"{DANIELS_MC_SIGMA} sigma (worst {worst:.2f})")
 
 
@@ -308,17 +321,8 @@ def _rough_scaled(ctx: Context) -> dict[str, list[float]]:
 
 
 def _crit_rough(ctx: Context) -> tuple[bool, str]:
-    fix = ctx.fixtures()["rough_scaled"]
-    spreads = []
-    for kind, vals in _rough_scaled(ctx).items():
-        spread = max(vals) / min(vals)
-        spreads.append(f"{kind}: {spread:.3f}")
-        if spread > ROUGH_SPREAD_MAX:
-            return False, f"spread {spread:.3f} > {ROUGH_SPREAD_MAX} for {kind}"
-        for got, want in zip(vals, fix[kind]):
-            if abs(got / want - 1.0) > FIXTURE_REL_TOL:
-                return False, f"regression drift for {kind}: {got} vs fixture {want}"
-    return True, "scaled rough counts stable; spreads " + ", ".join(spreads)
+    return _check_bands(_rough_scaled(ctx), ctx.fixtures()["rough_scaled"],
+                        ROUGH_SPREAD_MAX)
 
 
 def _crit_predictor(ctx: Context) -> tuple[bool, str]:
@@ -432,19 +436,29 @@ def _crit_yk(ctx: Context) -> tuple[bool, str]:
             est = vol_yk_mc(k, float(vt), YK_C, YK_M, YK_SAMPLES,
                             ctx.seed + idx, threads=ctx.threads)
             idx += 1
-            bound = YK_SAFETY * (vt - k + 1) / (vt * math.factorial(k))
+            bound = yk_bound(k, vt)
             slack = est.estimate - (bound - YK_SIGMA * est.std_error)
             margin = est.estimate / bound
             worst = min(worst, margin)
             if slack < 0:
                 return False, (f"volume below bound at k={k}, v_tilde={vt}: "
                                f"{est.estimate:.3e} < {bound:.3e} - 4 sigma")
-    return True, (f"{idx} grid points above {YK_SAFETY} x the closed-form "
-                  f"volume bound; min ratio {worst:.2f}")
+    return True, (f"{idx} grid points above the closed-form volume bound "
+                  f"(v - k + 1)/(2 v k!); min ratio {worst:.2f}")
 
 
 def _uk_envelope(k: int, v: float) -> float:
     return (1.0 + abs(v - k)) / (math.factorial(k + 1) * (2.0 ** ((k - v) / 2.0) + 1.0))
+
+
+def _uk_sweep(seed: int, threads: int) -> list[tuple[int, float, float, float]]:
+    """(k, v, U_k estimate, envelope) over the U_k grid, seed + i at point i."""
+    out = []
+    for idx, (k, off) in enumerate(product(UK_KS, UK_V_OFFSETS)):
+        v = float(k + off)
+        est = uk_mc(k, v, UK_SAMPLES, seed + idx, threads=threads)
+        out.append((k, v, est.estimate, _uk_envelope(k, v)))
+    return out
 
 
 def _crit_uk(ctx: Context) -> tuple[bool, str]:
@@ -453,19 +467,13 @@ def _crit_uk(ctx: Context) -> tuple[bool, str]:
         if est.estimate != 1.0:
             return False, f"U_1({v}) = {est.estimate} is not exactly 1"
     big_k = ctx.fixtures()["uk_envelope_K"]
-    worst = 0.0
-    idx = 0
-    for k in UK_KS:
-        for off in UK_V_OFFSETS:
-            v = float(k + off)
-            est = uk_mc(k, v, UK_SAMPLES, ctx.seed + idx, threads=ctx.threads)
-            idx += 1
-            ratio = est.estimate / _uk_envelope(k, v)
-            worst = max(worst, ratio)
-            if est.estimate > big_k * _uk_envelope(k, v):
-                return False, (f"U_{k}({v}) = {est.estimate:.3e} above "
-                               f"{big_k} x envelope")
-    return True, f"U_1 exact; {idx} points under K={big_k} envelope (max ratio {worst:.3f})"
+    sweep = _uk_sweep(ctx.seed, ctx.threads)
+    for k, v, est, env in sweep:
+        if est > big_k * env:
+            return False, f"U_{k}({v}) = {est:.3e} above {big_k} x envelope"
+    worst = max(est / env for _, _, est, env in sweep)
+    return True, (f"U_1 exact; {len(sweep)} points under K={big_k} envelope "
+                  f"(max ratio {worst:.3f})")
 
 
 def _hq_ratios(ctx: Context) -> dict[str, list[float]]:
@@ -483,17 +491,7 @@ def _hq_ratios(ctx: Context) -> dict[str, list[float]]:
 
 
 def _crit_hq_band(ctx: Context) -> tuple[bool, str]:
-    fix = ctx.fixtures()["hq_ratio"]
-    notes = []
-    for kind, ratios in _hq_ratios(ctx).items():
-        spread = max(ratios) / min(ratios)
-        notes.append(f"{kind}: spread {spread:.3f}")
-        if spread > HQ_SPREAD_MAX:
-            return False, f"ratio spread {spread:.3f} > {HQ_SPREAD_MAX} for {kind}"
-        for got, want in zip(ratios, fix[kind]):
-            if abs(got / want - 1.0) > FIXTURE_REL_TOL:
-                return False, f"regression drift for {kind}: {got} vs fixture {want}"
-    return True, "count/predictor bands stable; " + "; ".join(notes)
+    return _check_bands(_hq_ratios(ctx), ctx.fixtures()["hq_ratio"], HQ_SPREAD_MAX)
 
 
 def _run_pipeline(out_dir: Path, threads: int = 1) -> list[Path]:
@@ -566,7 +564,7 @@ def select_criteria(filter_expr: str | None):
               if needle in c[0] or needle in c[1].lower()
               or any(needle in tag for tag in c[2])]
     if not picked:
-        raise ValueError(f"filter {filter_expr!r} matches no criteria")
+        raise ConfigError(f"filter {filter_expr!r} matches no criteria")
     return picked
 
 
@@ -603,14 +601,7 @@ def oracle_sweep(seed: int = DEFAULT_SEED, threads: int = 1) -> dict:
     ratios = _regime_ratios()
     regime_ratio = {reg: [min(vals), max(vals)] for reg, vals in ratios.items()}
 
-    uk_max = 0.0
-    idx = 0
-    for k in UK_KS:
-        for off in UK_V_OFFSETS:
-            v = float(k + off)
-            est = uk_mc(k, v, UK_SAMPLES, seed + idx, threads=threads)
-            idx += 1
-            uk_max = max(uk_max, est.estimate / _uk_envelope(k, v))
+    uk_max = max(est / env for _, _, est, env in _uk_sweep(seed, threads))
 
     return {
         "notes": "derived regression bands; regenerate with scripts/derive_fixtures.py "

@@ -5,7 +5,10 @@ H_Q(x, y, z) counts n in S_Q, n <= x, having a divisor in (y, z]; A_Q(N) counts
 distinct products ab with a, b in S_Q up to N, by one segmented bitmap over
 [1, N^2].  Two independent H_Q methods are kept deliberately separate so they
 cross-validate each other.  S_Q membership up to x is a view of the prime set's
-own bitmap, which each set builds once, to its limit.
+own bitmap, which each set builds once, to its limit.  The divisor-multiples
+method has one kernel for every prime set: because S_Q is closed under
+divisors, it marks the multiples of the members d in (y, z] and intersects
+the marks with the bitmap once.
 """
 
 from __future__ import annotations
@@ -86,8 +89,8 @@ def count_hq(
 ) -> CountResult:
     """H_Q(x, y, z): members of S_Q up to x with a divisor in (y, z].
 
-    method "divisor-multiples": mark multiples of each integer d in (y, z]
-    that stay inside S_Q, count marked cells once.
+    method "divisor-multiples": mark the multiples of each member d of S_Q
+    in (y, z], keep the marked cells that lie in S_Q, count them once.
     method "exhaustive": walk S_Q itself and look each member up in the
     divisor table, through one prefix count of the in-range divisors.  The
     two share no counting logic.
@@ -114,16 +117,14 @@ def count_hq(
     if method == "divisor-multiples":
         if d_lo > d_hi:
             return CountResult(0, x, y, z, desc, method, time.perf_counter() - t0)
+        # exact because S_Q is closed under divisors: a member with a divisor
+        # in (y, z] is a multiple of a member there
+        bm = _sq_bitmap(ps, xi)
         marked = np.zeros(xi + 1, dtype=bool)
-        if ps.kind == "all":
-            for d in range(d_lo, d_hi + 1):
-                marked[d::d] = True
-        else:
-            bm = _sq_bitmap(ps, xi)
-            for d in range(d_lo, d_hi + 1):
-                if bm[d]:
-                    marked[d::d] |= bm[d::d]
-        value = int(np.count_nonzero(marked[1:]))
+        for d in (np.flatnonzero(bm[d_lo : d_hi + 1]) + d_lo).tolist():
+            marked[d::d] = True
+        marked &= bm
+        value = int(np.count_nonzero(marked))
         return CountResult(value, x, y, z, desc, method, time.perf_counter() - t0)
 
     offsets, divs = _divisor_table(xi)

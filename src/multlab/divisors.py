@@ -4,6 +4,8 @@
 
 and the pair count W(a) = #{(d, d'): d|a, d'|a, |log(d/d')| <= log 2}.
 Also the enumerator of S_Q, the integers composed only of primes from Q.
+Factorizations trial-divide by a fixed tuple of the primes below 2^16 and
+the odd numbers past it, so no prime list grows with the inputs.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, count
 
 import numpy as np
 
@@ -20,14 +23,7 @@ MERGE_SLACK = 1e-12
 MAX_DIVISORS_L = 1 << 20
 MAX_DIVISORS_W = 1 << 16
 
-_prime_cache = sieve_primes(1 << 16)
-
-
-def _primes_up_to(bound: int) -> np.ndarray:
-    global _prime_cache
-    if _prime_cache[-1] < bound:
-        _prime_cache = sieve_primes(max(bound, 2 * int(_prime_cache[-1])))
-    return _prime_cache
+_SMALL_PRIMES = tuple(sieve_primes(1 << 16).tolist())
 
 
 @dataclass
@@ -43,15 +39,16 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Trial division by sieved primes up to sqrt(n); desk scale."""
+    """Trial division up to sqrt(n): by the primes below 2^16, then by the odd
+    numbers past them.  An odd composite never divides, because its prime
+    factors are divided out before it is reached.  Desk scale."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     if n == 1:
         return Factorization(1, (), 0, 1, 1, math.inf)
     m = n
     factors: list[tuple[int, int]] = []
-    for p in _primes_up_to(math.isqrt(n) + 1):
-        p = int(p)
+    for p in chain(_SMALL_PRIMES, count(_SMALL_PRIMES[-1] + 2, 2)):
         if p * p > m:
             break
         if m % p == 0:

@@ -31,6 +31,7 @@ from .orderstats import (
     qk_exact,
     qk_mc,
     vol_yk_mc,
+    yk_bound,
 )
 from .poisson import classify_regime, e_factor, g_exponent, main_term
 from .primes import PrimeSet, density_audit, make_prime_set
@@ -374,7 +375,7 @@ def run_smirnov(cfg: dict, rep: _Reporter) -> None:
             if vt < k:
                 raise ConfigError(f"smirnov: yk_v_factor {f} gives v_tilde < k")
             est = vol_yk_mc(k, vt, yc, ym, yn, base_seed, threads=rep.threads)
-            bound = 0.5 * (vt - k + 1) / (vt * math.factorial(k))
+            bound = yk_bound(k, vt)
             rows.append({"op": "yk_vol", "k": k, "v": vt, "C": yc, "M": ym,
                          "mu": YK_MU, "n": est.n_samples,
                          "estimate": est.estimate, "std_error": est.std_error,

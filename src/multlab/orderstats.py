@@ -19,6 +19,7 @@ from .poisson import _is_exact
 from .rng import run_blocks
 
 YK_MU = 1.0 / 7.0  # exponent in the strong-barrier term min(i, k-i)^mu
+YK_SAFETY = 0.5  # the 1/2 of the closed-form Y_k volume bound
 MAX_EXACT_K = 10  # recursive volume integration cap
 
 
@@ -244,6 +245,11 @@ def _yk_hits(s: np.ndarray, k: int, v_tilde: float, c_shift: float, m_offset: in
         ok &= s[:, idx - 1] > ii / v_tilde
         ok &= s[:, k - idx] < 1.0 - ii / v_tilde
     return ok
+
+
+def yk_bound(k: int, v_tilde: float) -> float:
+    """Closed-form lower bound (v - k + 1)/(2 v k!) on the volume of Y_k."""
+    return YK_SAFETY * (v_tilde - k + 1) / (v_tilde * math.factorial(k))
 
 
 def vol_yk_mc(k: int, v_tilde: float, c_shift: float, m_offset: int,

@@ -25,3 +25,12 @@ def test_criterion(ctx, cid, name, fn):
     line = f"{cid} {'PASS' if passed else 'FAIL'} {name}: {details}"
     print(line)
     assert passed, line
+
+
+def test_band_check_holds_every_value_to_its_fixture():
+    fix = {"all": [1.0, 2.0]}
+    assert acceptance._check_bands({"all": [1.0, 2.0]}, fix, 2.5)[0]
+    assert not acceptance._check_bands({"all": [1.0, 2.0]}, fix, 1.5)[0]
+    assert not acceptance._check_bands({"all": [1.0, 2.001]}, fix, 2.5)[0]
+    with pytest.raises(ValueError):  # a short fixture must not pass silently
+        acceptance._check_bands({"all": [1.0, 2.0, 1.5]}, fix, 2.5)

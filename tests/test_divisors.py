@@ -39,6 +39,7 @@ def test_factorize_basic():
 def test_factorize_grows_prime_cache():
     n = 65537 * 65537  # needs trial primes beyond the initial cache
     assert factorize(n).factors == ((65537, 2),)
+    assert factorize(65537 * 65539).factors == ((65537, 1), (65539, 1))
 
 
 def test_factorize_rejects_zero():
