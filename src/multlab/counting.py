@@ -5,17 +5,18 @@ H_Q(x, y, z) counts n in S_Q, n <= x, having a divisor in (y, z]; A_Q(N) counts
 distinct products ab with a, b in S_Q up to N, by one segmented bitmap over
 [1, N^2].  Two independent H_Q methods are kept deliberately separate so they
 cross-validate each other.  S_Q membership up to x is a view of the prime set's
-own bitmap, which each set builds once, to its limit.  The divisor-multiples
-method has one kernel for every prime set: because S_Q is closed under
-divisors, it marks the multiples of the members d in (y, z] and intersects
-the marks with the bitmap once.
+own bitmap, which each set builds once, to its limit.  Neither bitmap kernel
+branches on the kind of prime set.  Because S_Q is closed under divisors, the
+divisor-multiples method marks the multiples of the members d in (y, z] and
+intersects the marks with the bitmap once.  A_Q ORs the bitmap's window of b
+into the cells a*b of each member a, one strided write per a.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,6 @@ MAX_X_EXHAUSTIVE = 1 << 21
 @dataclass
 class CountResult:
     value: int
-    x: float
-    y: float | None
-    z: float | None
-    q: dict
     method: str
     elapsed: float
     warning: str | None = None
@@ -105,18 +102,15 @@ def count_hq(
     xi = int(math.floor(x))
     if ps.limit < xi:
         raise ValueError(f"prime set materialized to {ps.limit} < x = {xi}")
-    desc = ps.descriptor()
     if y >= z:
-        return CountResult(
-            0, x, y, z, desc, method, time.perf_counter() - t0,
-            warning="empty divisor interval (y >= z)",
-        )
+        return CountResult(0, method, time.perf_counter() - t0,
+                           warning="empty divisor interval (y >= z)")
     d_lo = int(math.floor(y)) + 1
     d_hi = min(int(math.floor(z)), xi)
 
     if method == "divisor-multiples":
         if d_lo > d_hi:
-            return CountResult(0, x, y, z, desc, method, time.perf_counter() - t0)
+            return CountResult(0, method, time.perf_counter() - t0)
         # exact because S_Q is closed under divisors: a member with a divisor
         # in (y, z] is a multiple of a member there
         bm = _sq_bitmap(ps, xi)
@@ -125,7 +119,7 @@ def count_hq(
             marked[d::d] = True
         marked &= bm
         value = int(np.count_nonzero(marked))
-        return CountResult(value, x, y, z, desc, method, time.perf_counter() - t0)
+        return CountResult(value, method, time.perf_counter() - t0)
 
     offsets, divs = _divisor_table(xi)
     # hits[i] counts the in-range entries among the first i of the table, so
@@ -138,7 +132,7 @@ def count_hq(
     del in_range
     members = np.array(enumerate_sq(ps, xi), dtype=np.int64)
     value = int(np.count_nonzero(hits[offsets[members + 1]] > hits[offsets[members]]))
-    return CountResult(value, x, y, z, desc, method, time.perf_counter() - t0)
+    return CountResult(value, method, time.perf_counter() - t0)
 
 
 def count_sq(ps: PrimeSet, x: float) -> int:
@@ -149,48 +143,42 @@ def count_sq(ps: PrimeSet, x: float) -> int:
     return int(np.count_nonzero(_sq_bitmap(ps, xi)))
 
 
-# The cap is what keeps every product a*b <= N^2 = 1e12 inside int64.
-MAX_N_AQ = 1_000_000
+# The cap is run time: the set of all primes costs about N^2/2 strided
+# writes, about a minute at N = 1e5.
+MAX_N_AQ = 100_000
 _AQ_SEGMENT = 1 << 24
 
 
 def count_aq(ps: PrimeSet, n_bound: int) -> CountResult:
-    """A_Q(N): number of distinct products ab with a, b in S_Q and a, b <= N."""
+    """A_Q(N): number of distinct products ab with a, b in S_Q and a, b <= N.
+
+    A bitmap over [1, N^2], one segment at a time: for each member a, one
+    strided write ORs the S_Q bitmap's window of b into the cells a*b.
+    """
     t0 = time.perf_counter()
     n_bound = int(n_bound)
     if n_bound < 1:
         raise ValueError(f"count_aq requires N >= 1, got {n_bound}")
     if n_bound > MAX_N_AQ:
         raise ValueError(f"count_aq capped at N <= {MAX_N_AQ}, got {n_bound}")
-    members = np.array(enumerate_sq(ps, n_bound), dtype=np.int64)
+    members = enumerate_sq(ps, n_bound)
+    bm = _sq_bitmap(ps, n_bound)
 
-    # segmented bitmap over [1, N^2]: mark a*b window by window
     total = 0
     top = n_bound * n_bound
-    is_all = ps.kind == "all"
     for lo in range(1, top + 1, _AQ_SEGMENT):
         hi = min(lo + _AQ_SEGMENT, top + 1)
         seg = np.zeros(hi - lo, dtype=bool)
         a_min = max(1, (lo + n_bound - 1) // n_bound)  # need a*N >= lo
-        i0 = int(np.searchsorted(members, a_min))
-        for a in members[i0:]:
-            a = int(a)
+        for a in members[bisect_left(members, a_min):]:
             if a * a >= hi:
                 break
             b_lo = max(a, -(-lo // a))  # ceil(lo / a)
             b_hi = min(n_bound, (hi - 1) // a)
-            if b_lo > b_hi:
-                continue
-            if is_all:
-                seg[a * b_lo - lo : a * b_hi - lo + 1 : a] = True
-            else:
-                j0 = int(np.searchsorted(members, b_lo))
-                j1 = int(np.searchsorted(members, b_hi, side="right"))
-                if j0 < j1:
-                    seg[members[j0:j1] * a - lo] = True
+            if b_lo <= b_hi:
+                seg[a * b_lo - lo : a * b_hi - lo + 1 : a] |= bm[b_lo : b_hi + 1]
         total += int(np.count_nonzero(seg))
-    return CountResult(total, n_bound, None, None, ps.descriptor(),
-                       "segmented-bitmap", time.perf_counter() - t0)
+    return CountResult(total, "segmented-bitmap", time.perf_counter() - t0)
 
 
 def count_rough(ps: PrimeSet, x: float, z: float) -> CountResult:
@@ -208,5 +196,4 @@ def count_rough(ps: PrimeSet, x: float, z: float) -> CountResult:
         bm[q::q] = False
     bm[1] = True  # P-(1) = +inf exceeds any z
     value = int(np.count_nonzero(bm[1:]))
-    return CountResult(value, x, None, z, ps.descriptor(), "bitmap",
-                       time.perf_counter() - t0)
+    return CountResult(value, "bitmap", time.perf_counter() - t0)

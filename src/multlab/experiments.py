@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, merged_config, require_grid
-from .counting import count_aq, count_hq, count_sq
+from .counting import MAX_N_AQ, count_aq, count_hq, count_sq
 from .orderstats import (
     YK_MU,
     BarrierSpec,
@@ -203,8 +203,6 @@ AQ_DICHOTOMY_DEFAULTS = {
     "seed": DEFAULT_SEED,
 }
 
-AQ_N_CAP = 100_000
-
 
 def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
     """A_Q(N) / |S_Q(N)|^2 over an N grid, with a log-log slope per prime set.
@@ -215,8 +213,8 @@ def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
     n_grid = sorted(int(n) for n in require_grid(cfg, "n_grid", "aq-dichotomy"))
     if n_grid[0] < 1:
         raise ConfigError(f"aq-dichotomy: N must be >= 1, got {n_grid[0]}")
-    if n_grid[-1] > AQ_N_CAP:
-        raise ConfigError(f"aq-dichotomy: N capped at {AQ_N_CAP}, got {n_grid[-1]}")
+    if n_grid[-1] > MAX_N_AQ:
+        raise ConfigError(f"aq-dichotomy: N capped at {MAX_N_AQ}, got {n_grid[-1]}")
     q_descs = require_grid(cfg, "prime_sets", "aq-dichotomy")
     limit = max(n_grid[-1], 16)
 

@@ -34,7 +34,7 @@ def sieve_primes(limit: int, segment_size: int = 1 << 20) -> np.ndarray:
     root = math.isqrt(limit)
 
     # base primes up to sqrt(limit) by a plain odd sieve
-    base = np.ones(max((root + 1) // 2, 1), dtype=bool)  # index i -> 2i+1
+    base = np.ones((root + 1) // 2, dtype=bool)  # index i -> 2i+1
     base[0] = False  # 1
     for i in range(1, len(base)):
         p = 2 * i + 1
@@ -44,12 +44,10 @@ def sieve_primes(limit: int, segment_size: int = 1 << 20) -> np.ndarray:
             base[(p * p) // 2 :: p] = False
     base_primes = 2 * np.nonzero(base)[0] + 1  # odd primes <= root
 
-    chunks = [np.array([2], dtype=np.int64)] if limit >= 2 else []
-    lo = 3
+    chunks = [np.array([2], dtype=np.int64)]
+    lo = 3  # stays odd: each step is 2 * segment_size, and the last ends the loop
     while lo <= limit:
         hi = min(lo + 2 * segment_size, limit + 1)
-        if lo % 2 == 0:
-            lo += 1
         seg = np.ones((hi - lo + 1) // 2, dtype=bool)  # index i -> lo + 2i
         for p in base_primes:
             p = int(p)
@@ -58,10 +56,7 @@ def sieve_primes(limit: int, segment_size: int = 1 << 20) -> np.ndarray:
                 start += p
             if start < hi:
                 seg[(start - lo) // 2 :: p] = False
-        odds = lo + 2 * np.nonzero(seg)[0]
-        if lo <= 1:
-            odds = odds[odds > 1]
-        chunks.append(odds.astype(np.int64))
+        chunks.append(lo + 2 * np.nonzero(seg)[0])  # intp: int64 on 64-bit builds
         lo = hi
     return np.concatenate(chunks)
 

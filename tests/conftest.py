@@ -1,8 +1,13 @@
-"""Shared fixtures: prime sets are sieved once per session and reused."""
+"""Shared fixtures: prime sets are sieved once per session and reused, and
+one hypothesis profile that keeps property tests deterministic."""
 
 import pytest
+from hypothesis import settings
 
 from multlab import make_prime_set
+
+settings.register_profile("multlab", derandomize=True, database=None, deadline=None)
+settings.load_profile("multlab")
 
 LIMIT = 100_000
 

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multlab.counting as counting
 from multlab import (
@@ -126,6 +128,22 @@ def test_count_aq_matches_outer_product(ps_all, ps_1mod4, ps_thinned):
         assert count_aq(ps, n).value == expected
 
 
+AQ_SETS = ("all", "congruence:4:1", "congruence:3:2", "congruence:8:1+3",
+           "thinned:0.4:7", "thinned:0.2:3")
+
+
+@settings(max_examples=60)
+@given(desc=st.sampled_from(AQ_SETS), n=st.integers(1, 400), k=st.integers(4, 14))
+def test_count_aq_matches_outer_product_everywhere(desc, n, k):
+    ps = resolve_prime_set(desc, 400)
+    members = np.array(enumerate_sq(ps, n), dtype=np.int64)
+    expected = len(np.unique(np.outer(members, members)))
+    # segments from 16 cells to past N^2 = 160,000, so marks cross their edges
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(counting, "_AQ_SEGMENT", 1 << k)
+        assert count_aq(ps, n).value == expected
+
+
 def test_count_aq_segmented_path(ps_all, ps_1mod4, ps_thinned, monkeypatch):
     # segments far shorter than N^2 = 2.25e6, so marks cross segment edges
     monkeypatch.setattr(counting, "_AQ_SEGMENT", 1 << 17)
@@ -141,6 +159,8 @@ def test_count_aq_validation(ps_all):
         count_aq(ps_all, 0)
     with pytest.raises(ValueError):
         count_aq(ps_all, 2_000_000)
+    with pytest.raises(ValueError, match="capped"):
+        count_aq(ps_all, counting.MAX_N_AQ + 1)
 
 
 def test_count_rough_known_values(ps_all):

@@ -8,6 +8,8 @@ import time
 import pytest
 
 from multlab.acceptance import DETERMINISM_CONFIGS
+from multlab.config import ConfigError
+from multlab.counting import MAX_N_AQ
 from multlab.experiments import HQ_SCAN_DEFAULTS, run_experiment
 
 # sha256 of every table body at DETERMINISM_CONFIGS; any byte change fails
@@ -67,3 +69,8 @@ def test_aq_dichotomy_manifest_records_count_aq_timing(tmp_path):
     assert sum(t["elapsed_seconds"] for t in timings) <= manifest["elapsed_seconds"] + 0.001
     header = (tmp_path / "aq_dichotomy.csv").read_text().splitlines()[0]
     assert "elapsed" not in header and "method" not in header
+
+
+def test_aq_dichotomy_rejects_n_above_cap(tmp_path):
+    with pytest.raises(ConfigError, match="capped"):
+        run_experiment("aq-dichotomy", {"n_grid": [MAX_N_AQ + 1]}, tmp_path)
