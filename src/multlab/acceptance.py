@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ConfigError
 from .counting import count_aq, count_hq, count_rough
-from .divisors import factorize, l_measure, w_count
+from .divisors import factorize, squarefree_lw
 from .experiments import (
     DEFAULT_SEED,
     HQ_SCAN_DEFAULTS,
@@ -242,32 +242,41 @@ def _crit_daniels(ctx: Context) -> tuple[bool, str]:
                 f"{DANIELS_MC_SIGMA} sigma (worst {worst:.2f})")
 
 
+def _squarefree_count(n: int) -> int:
+    """#{squarefree a <= n} = sum over d <= sqrt(n) of mu(d) * floor(n / d^2)."""
+    total = 0
+    for d in range(1, math.isqrt(n) + 1):
+        fac = factorize(d)
+        total += fac.mu_squared * (-1) ** fac.omega * (n // (d * d))
+    return total
+
+
 def _crit_lw(ctx: Context) -> tuple[bool, str]:
-    l_cache: dict[int, float] = {}
+    l_of = np.zeros(LW_LIMIT + 1)  # L(a) by a; (ii) reads L(a / P+(a))
     checked = 0
-    for a in range(1, LW_LIMIT + 1):
-        fac = factorize(a)
-        if not fac.mu_squared:
-            continue
-        la = l_measure(a)
-        l_cache[a] = la
-        tau = 1 << fac.omega
+    for a, primes, la, wa in squarefree_lw(LW_LIMIT):
+        l_of[a] = la
+        omega = len(primes)
+        tau = 1 << omega
         if la > min(LOG2 * tau, LOG2 + math.log(a)) + LW_EPS:
             return False, f"(i) violated at a={a}"
-        if fac.omega >= 1:
-            rest = a // fac.factors[-1][0]
-            if la > 2.0 * l_cache[rest] + LW_EPS:
+        if omega >= 1:
+            rest = a // primes[-1]
+            if la > 2.0 * l_of[rest] + LW_EPS:
                 return False, f"(ii) violated at a={a}"
         prefix = 0.0
         best = LOG2 * tau  # j = 0 term
-        for j, (p, _) in enumerate(fac.factors, start=1):
+        for j, p in enumerate(primes, start=1):
             prefix += math.log(p)
-            best = min(best, 2.0 ** (fac.omega - j) * (prefix + LOG2))
+            best = min(best, 2.0 ** (omega - j) * (prefix + LOG2))
         if la > best + LW_EPS:
             return False, f"(iii) violated at a={a}"
-        if la < LOG2 * tau * tau / w_count(a) - LW_EPS:
+        if la < LOG2 * tau * tau / wa - LW_EPS:
             return False, f"Cauchy-Schwarz bound violated at a={a}"
         checked += 1
+    expected = _squarefree_count(LW_LIMIT)
+    if checked != expected:
+        return False, f"walked {checked} squarefree a <= {LW_LIMIT}, expected {expected}"
     return True, f"{checked} squarefree a <= {LW_LIMIT}, zero violations"
 
 

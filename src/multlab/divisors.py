@@ -6,6 +6,11 @@ and the pair count W(a) = #{(d, d'): d|a, d'|a, |log(d/d')| <= log 2}.
 Also the enumerator of S_Q, the integers composed only of primes from Q.
 Factorizations trial-divide by a fixed tuple of the primes below 2^16 and
 the odd numbers past it, so no prime list grows with the inputs.
+
+`squarefree_lw` walks every squarefree a <= n in order from one
+smallest-prime-factor sieve, yielding L(a) and W(a) from the same kernels as
+`l_measure` and `w_count`; those two, `factorize` and `divisors` stay as its
+trial-division reference.
 """
 
 from __future__ import annotations
@@ -154,12 +159,16 @@ def _merge_log_intervals(logs: list[float]) -> IntervalUnion:
     return IntervalUnion(intervals, math.fsum(hi - lo for lo, hi in intervals))
 
 
-def l_interval_union(a: int) -> IntervalUnion:
-    """The interval system of a: union over divisors d of (log d - log 2, log d]."""
-    divs = divisors(a)
+def _l_union_sorted(a: int, divs: list[int]) -> IntervalUnion:
+    """The interval system of a from its ascending divisor list."""
     if len(divs) > MAX_DIVISORS_L:
         raise ValueError(f"{a} has {len(divs)} divisors, beyond the {MAX_DIVISORS_L} cap")
     return _merge_log_intervals([math.log(d) for d in divs])
+
+
+def l_interval_union(a: int) -> IntervalUnion:
+    """The interval system of a: union over divisors d of (log d - log 2, log d]."""
+    return _l_union_sorted(a, divisors(a))
 
 
 def l_measure(a: int) -> float:
@@ -172,13 +181,13 @@ def w_count(a: int) -> int:
     The boundary ratio d/d' = 2 is included (closed condition); the test is
     d' <= 2d and d <= 2d', never floating point.
     """
-    divs = divisors(a)
+    return _w_count_sorted(a, divisors(a))
+
+
+def _w_count_sorted(a: int, divs: list[int]) -> int:
+    """W(a) from its ascending divisor list, by two pointers."""
     if len(divs) > MAX_DIVISORS_W:
         raise ValueError(f"{a} has {len(divs)} divisors, beyond the {MAX_DIVISORS_W} cap")
-    return _w_count_sorted(divs)
-
-
-def _w_count_sorted(divs) -> int:
     count = 0
     lo = 0
     hi = 0
@@ -194,3 +203,44 @@ def _w_count_sorted(divs) -> int:
         count += hi - lo + 1
     return count
 
+
+def _smallest_prime_factors(n: int) -> np.ndarray:
+    """spf[m] = the smallest prime factor of m, for 0 <= m <= n (spf[0] = 0,
+    spf[1] = 1), sieved once as int32."""
+    spf = np.zeros(n + 1, dtype=np.int32)
+    for p in sieve_primes(max(2, math.isqrt(n))).tolist():  # the sieve needs >= 2
+        multiples = spf[p * p :: p]  # a view: the store below writes spf
+        multiples[multiples == 0] = p
+    unset = np.flatnonzero(spf == 0)
+    spf[unset] = unset
+    return spf
+
+
+def squarefree_lw(n: int):
+    """Yield (a, primes, L(a), W(a)) for every squarefree a <= n, ascending.
+
+    The smallest prime factors of [0, n] are sieved once; each a reads its
+    ascending primes from the sieve and expands its sorted divisor list once,
+    and L and W come from the kernels of `l_measure` and `w_count`.
+    """
+    if n < 1:
+        raise ValueError(f"squarefree_lw requires n >= 1, got {n}")
+    return _walk_squarefree(n, memoryview(_smallest_prime_factors(n)))
+
+
+def _walk_squarefree(n: int, spf: memoryview):
+    for a in range(1, n + 1):
+        primes: list[int] = []
+        m = a
+        while m > 1:
+            p = spf[m]
+            m //= p
+            if spf[m] == p:  # p^2 divides a
+                break
+            primes.append(p)
+        else:
+            divs = [1]
+            for p in primes:
+                divs += [d * p for d in divs]
+            divs.sort()
+            yield a, primes, _l_union_sorted(a, divs).measure, _w_count_sorted(a, divs)

@@ -105,6 +105,8 @@ class _Reporter:
         self.cfg = cfg
         self.fmt = fmt
         self.threads = threads
+        # what the body passed on to a threaded kernel; 1 unless it sets this
+        self.threads_used = 1
         self.t0 = time.perf_counter()
         self.result = ExperimentResult(name, Path(out_dir))
         self.prime_audits: list[dict] = []
@@ -136,6 +138,7 @@ class _Reporter:
             "config": self.cfg,
             "seed": self.cfg["seed"],
             "threads": self.threads,
+            "threads_used": self.threads_used,
             "prime_sets": self.prime_audits,
             "summary": self.result.summary,
             "files": self.files,
@@ -334,6 +337,7 @@ def run_smirnov(cfg: dict, rep: _Reporter) -> None:
     """Order-statistics study: Daniels exact vs MC, barrier conditioning, Y_k."""
     base_seed = int(cfg["seed"])
     rows = []
+    rep.threads_used = rep.threads  # every MC kernel below runs on rep.threads
 
     point = 0
     for k in require_grid(cfg, "daniels_k", "smirnov"):

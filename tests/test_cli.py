@@ -178,6 +178,18 @@ def test_smirnov_degenerate_points_are_exact(tmp_path):
     assert float(rows["yk_bound"]["estimate"]) == 0.5
 
 
+def test_manifest_records_threads_used(tmp_path):
+    # hq-scan ignores --threads; smirnov hands it to every MC kernel
+    for name, body, used in (("hq-scan", HQ_MINI, 1), ("smirnov", SMIRNOV_MINI, 2)):
+        cfg = write_cfg(tmp_path, body, name=f"{name}.cfg")
+        out = tmp_path / name
+        assert main([name, "--config", str(cfg), "--out", str(out),
+                     "--threads", "2"]) == 0
+        stem = name.replace("-", "_")
+        man = json.loads((out / f"{stem}_manifest.json").read_text())
+        assert (man["threads"], man["threads_used"]) == (2, used), name
+
+
 def test_verify_filtered_criterion(tmp_path, capsys):
     out = tmp_path / "v"
     assert main(["verify", "--filter", "c06", "--out", str(out)]) == 0

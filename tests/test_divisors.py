@@ -15,6 +15,7 @@ from multlab import (
     make_prime_set,
     w_count,
 )
+from multlab.divisors import squarefree_lw
 from multlab.experiments import resolve_prime_set
 from multlab.primes import LOG2
 
@@ -167,3 +168,22 @@ def test_cauchy_schwarz_bridge():
         w = w_count(a)
         assert w >= tau  # diagonal pairs alone
         assert LOG2 * tau * tau / w <= l_measure(a) + 1e-9
+
+
+def test_squarefree_lw_matches_trial_division():
+    walked = list(squarefree_lw(10_000))
+    assert [a for a, *_ in walked] == [
+        a for a in range(1, 10_001) if factorize(a).mu_squared
+    ]
+    for a, primes, l_val, w_val in walked:
+        assert primes == [p for p, _ in factorize(a).factors], a
+        # the same kernels on the same divisor list: equal bits, not approx
+        assert l_val == l_measure(a), a
+        assert w_val == w_count(a), a
+
+
+def test_squarefree_lw_edges():
+    assert list(squarefree_lw(1)) == [(1, [], math.log(2), 1)]
+    for n in (0, -5):
+        with pytest.raises(ValueError):
+            squarefree_lw(n)

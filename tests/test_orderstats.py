@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multlab import (
     BarrierSpec,
@@ -17,7 +19,12 @@ from multlab import (
     vol_lower_barrier_exact,
     vol_yk_mc,
 )
-from multlab.orderstats import _ordered_batch, _yk_hits, barrier_thresholds
+from multlab.orderstats import (
+    _ordered_batch,
+    _steck_determinant,
+    _yk_hits,
+    barrier_thresholds,
+)
 from multlab.rng import block_generator
 
 SEED = 1234
@@ -49,6 +56,15 @@ def test_qk_exact_agrees_with_recursive_volume():
         lower = [max(Fraction(0), Fraction(j - u, v)) for j in range(1, k + 1)]
         vol = vol_lower_barrier_exact(lower)
         assert qk_exact(u, v, k) == vol * math.factorial(k)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=24),
+                min_size=1, max_size=8).map(sorted))
+def test_steck_determinant_matches_recursive_volume(bounds):
+    # arbitrary ascending rational bounds, not only the linear (i - u) / v
+    k = len(bounds)
+    assert _steck_determinant(bounds, k) == math.factorial(k) * vol_lower_barrier_exact(bounds)
 
 
 def test_qk_exact_validation():
