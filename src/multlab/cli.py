@@ -5,6 +5,10 @@ named experiment from a flat config file) and verify (runs the acceptance
 suite, exiting nonzero if any criterion fails).  MULTLAB_OUT and
 MULTLAB_THREADS override the output directory and worker count; nothing else
 is read from the environment.
+
+Exit codes: 0 success, 1 a failing verify criterion, 2 bad input (a
+ConfigError raised at the config boundary, or an OSError), 3 any other
+exception, with its traceback on stderr: that is a bug, not a typo.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -141,9 +146,15 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_experiment(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # the process boundary: anything else is a bug, reported as one
+        traceback.print_exc()
+        print("internal error: the traceback above is a bug in multlab, "
+              "not in the input", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

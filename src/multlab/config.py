@@ -9,6 +9,7 @@ descriptors like congruence:4:1 need no quoting.
 from __future__ import annotations
 
 import json
+import math
 
 
 class ConfigError(ValueError):
@@ -87,11 +88,28 @@ def merged_config(defaults: dict, cfg: dict, experiment: str) -> dict:
     return out
 
 
-def require_grid(cfg: dict, key: str, experiment: str) -> list:
-    """Fetch a non-empty list-valued grid, normalizing scalars to 1-element grids."""
+def as_number(val, kind, key: str, experiment: str):
+    """kind(val) for one config value (kind is int or float), or a ConfigError
+    naming the key when val is not a finite number."""
+    try:
+        out = kind(val)
+        if math.isfinite(out):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{experiment}: {key} must be a finite number, got {val!r}")
+
+
+def require_grid(cfg: dict, key: str, experiment: str, kind=None) -> list:
+    """Fetch a non-empty list-valued grid, normalizing scalars to 1-element grids.
+
+    With kind (int or float) every element goes through as_number.
+    """
     val = cfg[key]
     if not isinstance(val, list):
         val = [val]
     if len(val) == 0:
         raise ConfigError(f"{experiment}: {key} is an empty grid")
+    if kind is not None:
+        val = [as_number(v, kind, key, experiment) for v in val]
     return val

@@ -25,6 +25,7 @@ from .divisors import enumerate_sq
 from .primes import PrimeSet
 
 MAX_X_EXHAUSTIVE = 1 << 21
+HQ_METHODS = ("divisor-multiples", "exhaustive")
 
 
 @dataclass
@@ -97,7 +98,7 @@ def count_hq(
         raise ValueError(f"count_hq requires x >= 1, got {x}")
     if y < 0 or z < 0:
         raise ValueError("count_hq requires y, z >= 0")
-    if method not in ("divisor-multiples", "exhaustive"):
+    if method not in HQ_METHODS:
         raise ValueError(f"unknown count_hq method {method!r}")
     xi = int(math.floor(x))
     if ps.limit < xi:

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, merged_config, require_grid
-from .counting import MAX_N_AQ, count_aq, count_hq, count_sq
+from .config import ConfigError, as_number, merged_config, require_grid
+from .counting import HQ_METHODS, MAX_N_AQ, count_aq, count_hq, count_sq
 from .orderstats import (
     YK_MU,
     BarrierSpec,
@@ -165,15 +165,21 @@ HQ_SCAN_DEFAULTS = {
 
 def run_hq_scan(cfg: dict, rep: _Reporter) -> None:
     """Brute-force H_Q(x, y, z_factor*y) against the predictor over a grid."""
-    x_grid = require_grid(cfg, "x_grid", "hq-scan")
-    y_grid = require_grid(cfg, "y_grid", "hq-scan")
+    x_grid = require_grid(cfg, "x_grid", "hq-scan", float)
+    y_grid = require_grid(cfg, "y_grid", "hq-scan", float)
     q_descs = require_grid(cfg, "prime_sets", "hq-scan")
-    limit = int(cfg["limit"])
+    limit = as_number(cfg["limit"], int, "limit", "hq-scan")
     if limit < max(x_grid):
         raise ConfigError(f"hq-scan: limit {limit} below max x {max(x_grid)}")
-    zf = float(cfg["z_factor"])
+    if not min(x_grid) >= max(y_grid) > math.e:
+        raise ConfigError(f"hq-scan: need every x >= every y > e, got x_grid "
+                          f"{x_grid}, y_grid {y_grid}")
+    zf = as_number(cfg["z_factor"], float, "z_factor", "hq-scan")
     if zf <= 1.0:
         raise ConfigError(f"hq-scan: z_factor must exceed 1, got {zf}")
+    if cfg["method"] not in HQ_METHODS:
+        raise ConfigError(f"hq-scan: method must be one of {', '.join(HQ_METHODS)}, "
+                          f"got {cfg['method']!r}")
 
     rows = []
     timings = []  # manifest only: wall-clock data never enters the CSV
@@ -182,15 +188,15 @@ def run_hq_scan(cfg: dict, rep: _Reporter) -> None:
         rep.prime_audits.append(audit_summary(ps))
         for x in x_grid:
             for y in y_grid:
-                z = zf * float(y)
-                res = count_hq(ps, float(x), float(y), z, method=cfg["method"])
-                pred = main_term(float(x), float(y), ps.delta)
+                z = zf * y
+                res = count_hq(ps, x, y, z, method=cfg["method"])
+                pred = main_term(x, y, ps.delta)
                 rows.append({
-                    "q": desc, "x": float(x), "y": float(y), "z": z,
+                    "q": desc, "x": x, "y": y, "z": z,
                     "delta": ps.delta, "count": res.value, "predictor": pred,
                     "ratio": res.value / pred,
                 })
-                timings.append({"q": desc, "x": float(x), "y": float(y), "z": z,
+                timings.append({"q": desc, "x": x, "y": y, "z": z,
                                 "method": res.method,
                                 "elapsed_seconds": round(res.elapsed, 6)})
     rep.result.summary["count_hq"] = timings
@@ -213,12 +219,14 @@ def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
     The slope fit flags each Q as "flat" (product set has full relative size,
     the low-density side of the dichotomy) or "decaying".
     """
-    n_grid = sorted(int(n) for n in require_grid(cfg, "n_grid", "aq-dichotomy"))
+    n_grid = sorted(require_grid(cfg, "n_grid", "aq-dichotomy", int))
     if n_grid[0] < 1:
         raise ConfigError(f"aq-dichotomy: N must be >= 1, got {n_grid[0]}")
     if n_grid[-1] > MAX_N_AQ:
         raise ConfigError(f"aq-dichotomy: N capped at {MAX_N_AQ}, got {n_grid[-1]}")
     q_descs = require_grid(cfg, "prime_sets", "aq-dichotomy")
+    threshold = as_number(cfg["slope_threshold"], float, "slope_threshold",
+                          "aq-dichotomy")
     limit = max(n_grid[-1], 16)
 
     rows = []
@@ -244,7 +252,7 @@ def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
             slope = float(np.polyfit(np.log(n_grid), np.log(ratios), 1)[0])
         else:
             slope = 0.0
-        trend = "decaying" if slope <= float(cfg["slope_threshold"]) else "flat"
+        trend = "decaying" if slope <= threshold else "flat"
         slopes[str(desc)] = {"slope": slope, "trend": trend, "delta": ps.delta}
     rep.result.summary["slopes"] = slopes
     rep.result.summary["count_aq"] = timings
@@ -273,15 +281,18 @@ def run_poisson_phase(cfg: dict, rep: _Reporter) -> None:
         raise ConfigError("poisson-phase: both sections disabled, nothing to do")
 
     if cfg["include_regimes"]:
-        lam_grid = require_grid(cfg, "lambda_grid", "poisson-phase")
-        v_grid = require_grid(cfg, "v_grid", "poisson-phase")
-        eps = float(cfg["epsilon"])
+        lam_grid = require_grid(cfg, "lambda_grid", "poisson-phase", float)
+        v_grid = require_grid(cfg, "v_grid", "poisson-phase", int)
+        eps = as_number(cfg["epsilon"], float, "epsilon", "poisson-phase")
+        if not (min(lam_grid) > 0 and min(v_grid) >= 1 and 0 < eps < 1):
+            raise ConfigError("poisson-phase: need every lambda > 0, every v >= 1 "
+                              "and 0 < epsilon < 1")
         rows = []
         for v in v_grid:
             for lam in lam_grid:
-                r = classify_regime(float(lam), int(v), eps)
+                r = classify_regime(lam, v, eps)
                 rows.append({
-                    "lambda": float(lam), "v": int(v), "theta": r.theta,
+                    "lambda": lam, "v": v, "theta": r.theta,
                     "regime": r.regime, "exact_sum_log": r.log_exact_sum,
                     "envelope_log": r.log_envelope, "ratio": r.ratio,
                 })
@@ -291,12 +302,12 @@ def run_poisson_phase(cfg: dict, rep: _Reporter) -> None:
                       rows)
 
     if cfg["include_gcurve"]:
-        d0, d1 = float(cfg["delta_min"]), float(cfg["delta_max"])
-        step = float(cfg["delta_step"])
-        if not (0.0 < d0 <= d1 <= 1.0 and step > 0):
-            raise ConfigError("poisson-phase: need 0 < delta_min <= delta_max <= 1 "
-                              "and delta_step > 0")
-        lly = float(cfg["loglog_y"])
+        d0, d1, step, lly = (as_number(cfg[key], float, key, "poisson-phase")
+                             for key in ("delta_min", "delta_max", "delta_step",
+                                         "loglog_y"))
+        if not (0.0 < d0 <= d1 <= 1.0 and step > 0 and lly > 0):
+            raise ConfigError("poisson-phase: need 0 < delta_min <= delta_max <= 1, "
+                              "delta_step > 0 and loglog_y > 0")
         count = int(math.floor((d1 - d0) / step + 1e-9)) + 1
         rows = []
         for i in range(count):
@@ -335,55 +346,68 @@ _SMIRNOV_HEADER = ["op", "k", "v", "u", "C", "M", "mu", "n",
 
 def run_smirnov(cfg: dict, rep: _Reporter) -> None:
     """Order-statistics study: Daniels exact vs MC, barrier conditioning, Y_k."""
-    base_seed = int(cfg["seed"])
+    def number(key, kind):
+        return as_number(cfg[key], kind, key, "smirnov")
+
+    def grid(key, kind):
+        return require_grid(cfg, key, "smirnov", kind)
+
+    base_seed = number("seed", int)
+    dn, bn, yn = (number(key, int)
+                  for key in ("daniels_samples", "barrier_samples", "yk_samples"))
+    if min(dn, bn, yn) < 1:
+        raise ConfigError(f"smirnov: sample counts must be >= 1, got "
+                          f"{dn}, {bn}, {yn}")
+    daniels = [(k, k + off, u) for k in grid("daniels_k", int)
+               for off in grid("daniels_v_offset", int)
+               for u in grid("daniels_u", float)]
+    for k, v, u in daniels:
+        if not (k >= 1 and k - v < u <= 1):
+            raise ConfigError(f"smirnov: Daniels point k={k}, v={v}, u={u} "
+                              "needs k >= 1 and k - v < u <= 1")
+    bk, bv = number("barrier_k", int), number("barrier_v", float)
+    bmu, bm = number("barrier_mu", float), number("barrier_m_offset", int)
+    barrier_cs = grid("barrier_c", float)
+    try:
+        specs = [BarrierSpec(bk, bv, c, bm, bmu) for c in barrier_cs]
+    except ValueError as exc:  # BarrierSpec only validates its fields
+        raise ConfigError(f"smirnov: barrier: {exc}") from None
+    yc, ym = number("yk_c", float), number("yk_m", int)
+    if ym < 0:
+        raise ConfigError(f"smirnov: yk_m must be >= 0, got {ym}")
+    yk_points = [(k, f * k) for k in grid("yk_k", int) for f in grid("yk_v_factor", float)]
+    for k, vt in yk_points:
+        if not 1 <= k <= vt:
+            raise ConfigError(f"smirnov: Y_k point k={k}, v_tilde={vt} "
+                              "needs 1 <= k <= v_tilde")
+
     rows = []
     rep.threads_used = rep.threads  # every MC kernel below runs on rep.threads
+    for point, (k, v, u) in enumerate(daniels):
+        exact = float(qk_exact(u, v, k))
+        rows.append({"op": "qk_exact", "k": k, "v": v, "u": u,
+                     "estimate": exact, "std_error": 0.0})
+        est = qk_mc(u, v, k, dn, base_seed + point, threads=rep.threads)
+        rows.append({"op": "qk_mc", "k": k, "v": v, "u": u,
+                     "n": est.n_samples, "estimate": est.estimate,
+                     "std_error": est.std_error, "seed": est.seed})
 
-    point = 0
-    for k in require_grid(cfg, "daniels_k", "smirnov"):
-        k = int(k)
-        for off in require_grid(cfg, "daniels_v_offset", "smirnov"):
-            v = k + int(off)
-            for u in require_grid(cfg, "daniels_u", "smirnov"):
-                u = float(u)
-                exact = float(qk_exact(u, v, k))
-                rows.append({"op": "qk_exact", "k": k, "v": v, "u": u,
-                             "estimate": exact, "std_error": 0.0})
-                est = qk_mc(u, v, k, int(cfg["daniels_samples"]),
-                            base_seed + point, threads=rep.threads)
-                rows.append({"op": "qk_mc", "k": k, "v": v, "u": u,
-                             "n": est.n_samples, "estimate": est.estimate,
-                             "std_error": est.std_error, "seed": est.seed})
-                point += 1
-
-    bk, bv = int(cfg["barrier_k"]), float(cfg["barrier_v"])
-    bmu = float(cfg["barrier_mu"])
-    bm = int(cfg["barrier_m_offset"])
-    bn = int(cfg["barrier_samples"])
-    for c in require_grid(cfg, "barrier_c", "smirnov"):
-        spec = BarrierSpec(bk, bv, float(c), bm, bmu)
+    for spec in specs:
         p_b, p_s, p_cond = barrier_events_mc(spec, bn, base_seed, threads=rep.threads)
         for op, est in (("p_weak", p_b), ("p_strong", p_s), ("p_cond", p_cond)):
-            rows.append({"op": op, "k": bk, "v": bv, "C": float(c), "mu": bmu,
+            rows.append({"op": op, "k": bk, "v": bv, "C": spec.c_shift, "mu": bmu,
                          "n": est.n_samples, "estimate": est.estimate,
                          "std_error": est.std_error, "seed": est.seed})
 
-    yc, ym = float(cfg["yk_c"]), int(cfg["yk_m"])
-    yn = int(cfg["yk_samples"])
-    for k in require_grid(cfg, "yk_k", "smirnov"):
-        k = int(k)
-        for f in require_grid(cfg, "yk_v_factor", "smirnov"):
-            vt = float(f) * k
-            if vt < k:
-                raise ConfigError(f"smirnov: yk_v_factor {f} gives v_tilde < k")
-            est = vol_yk_mc(k, vt, yc, ym, yn, base_seed, threads=rep.threads)
-            bound = yk_bound(k, vt)
-            rows.append({"op": "yk_vol", "k": k, "v": vt, "C": yc, "M": ym,
-                         "mu": YK_MU, "n": est.n_samples,
-                         "estimate": est.estimate, "std_error": est.std_error,
-                         "seed": est.seed})
-            rows.append({"op": "yk_bound", "k": k, "v": vt, "C": yc, "M": ym,
-                         "mu": YK_MU, "estimate": bound, "std_error": 0.0})
+    for k, vt in yk_points:
+        est = vol_yk_mc(k, vt, yc, ym, yn, base_seed, threads=rep.threads)
+        bound = yk_bound(k, vt)
+        rows.append({"op": "yk_vol", "k": k, "v": vt, "C": yc, "M": ym,
+                     "mu": YK_MU, "n": est.n_samples,
+                     "estimate": est.estimate, "std_error": est.std_error,
+                     "seed": est.seed})
+        rows.append({"op": "yk_bound", "k": k, "v": vt, "C": yc, "M": ym,
+                     "mu": YK_MU, "estimate": bound, "std_error": 0.0})
 
     rep.add_table("smirnov", _SMIRNOV_HEADER, rows)
 

@@ -4,7 +4,10 @@ Q_k(u, v) = P(xi_i >= (i - u)/v for all i) over the order statistics of k
 uniforms.  Exact values come from the Daniels product formula at u = 1 and
 from Steck's determinant for u < 1; constrained simplex volumes come from a
 recursive polynomial integration.  Monte Carlo estimators cover the barrier
-events, the Y_k region, and the exponential-sum integral U_k.
+events, the Y_k region, and the exponential-sum integral U_k.  Their samples
+are sorted by one comparator network (Batcher's odd-even merge sort) run over
+contiguous columns: order statistic j of a block is one contiguous array, so
+each per-coordinate check and the U_k running sum read whole columns.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .rng import run_blocks
 YK_MU = 1.0 / 7.0  # exponent in the strong-barrier term min(i, k-i)^mu
 YK_SAFETY = 0.5  # the 1/2 of the closed-form Y_k volume bound
 MAX_EXACT_K = 10  # recursive volume integration cap
+_TILE = 8192  # samples per network pass: the k rows of one tile stay in cache
 
 
 @dataclass
@@ -61,9 +65,50 @@ class BarrierSpec:
             raise ValueError(f"mu_exponent must be in (0, 0.5), got {self.mu_exponent}")
 
 
+def _network(k: int) -> list[tuple[int, int]]:
+    """Compare-exchange pairs (i, j), i < j, of Batcher's odd-even merge sort
+    on k keys, in the order they must run.
+
+    This is the network for the next power of two with every comparator that
+    touches an index >= k dropped: padding keys of +inf never move.  By the
+    0-1 principle it sorts every input once it sorts every 0/1 vector.
+    """
+    pairs = []
+    p = 1
+    while p < k:
+        step = p
+        while step >= 1:
+            for j in range(step % p, k - step, 2 * step):
+                for i in range(j, j + min(step, k - j - step)):
+                    if i // (2 * p) == (i + step) // (2 * p):
+                        pairs.append((i, i + step))
+            step //= 2
+        p *= 2
+    return pairs
+
+
 def _ordered_batch(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """n draws of the k uniform order statistics, one per row."""
-    return np.sort(rng.random((n, k)), axis=1)
+    """n draws of the k uniform order statistics, one per row.
+
+    The draws are rng.random((n, k)), copied tile by tile into a (k, n)
+    C-contiguous buffer whose rows _network(k) sorts one whole row per
+    comparator.  The result is the buffer's (n, k) transpose view: equal to
+    np.sort(draws, axis=1), with each order statistic a contiguous column.
+    """
+    draws = rng.random((n, k))
+    buf = np.empty((k, n))
+    net = _network(k)
+    lo_row = np.empty(min(n, _TILE))
+    for start in range(0, n, _TILE):
+        tile = buf[:, start:start + _TILE]
+        tile[...] = draws[start:start + _TILE].T
+        lo = lo_row[:tile.shape[1]]
+        for i, j in net:
+            a, b = tile[i], tile[j]
+            np.minimum(a, b, out=lo)
+            np.maximum(a, b, out=b)
+            a[...] = lo
+    return buf.T
 
 
 def _as_fraction(x) -> Fraction:
@@ -257,6 +302,8 @@ def vol_yk_mc(k: int, v_tilde: float, c_shift: float, m_offset: int,
     """Volume of Y_k(v_tilde, C): hit fraction of sorted samples over k!."""
     if not 1 <= k <= math.ceil(v_tilde):
         raise ValueError(f"need 1 <= k <= ceil(v_tilde), got k={k}, v_tilde={v_tilde}")
+    if m_offset < 0:
+        raise ValueError(f"m_offset must be >= 0, got {m_offset}")
 
     def block(rng, length):
         s = _ordered_batch(rng, length, k)
@@ -270,20 +317,28 @@ _LOG_DOMAIN_V = 500.0
 
 
 def _uk_integrand(s: np.ndarray, k: int, v: float) -> np.ndarray:
-    """min over 0 <= j <= k of 2^-j (2^(v xi_1) + ... + 2^(v xi_j) + 1)."""
-    n = s.shape[0]
+    """min over 0 <= j <= k of 2^-j (2^(v xi_1) + ... + 2^(v xi_j) + 1).
+
+    One pass over the columns of s keeps the partial sum S_j and the running
+    minimum; the j = 0 term is exactly 1.
+    """
+    cols = v * s.T
     if v <= _LOG_DOMAIN_V:
-        pw = np.exp2(v * s)
-        cs = np.cumsum(pw, axis=1)
-        sums = np.concatenate([np.zeros((n, 1)), cs], axis=1)  # j = 0 .. k
+        pw = np.exp2(cols)
         weights = np.exp2(-np.arange(k + 1, dtype=np.float64))
-        return np.min((sums + 1.0) * weights, axis=1)
+        partial = np.zeros(s.shape[0])
+        best = np.ones(s.shape[0])
+        for j in range(k):
+            partial += pw[j]
+            np.minimum(best, (partial + 1.0) * weights[j + 1], out=best)
+        return best
     # log2-domain: S_j tracked as log2 of the partial sum
-    log_pw = v * s
-    log_cs = np.logaddexp2.accumulate(log_pw, axis=1)
-    log_sums = np.logaddexp2(log_cs, 0.0)  # + 1
-    log_vals = log_sums - np.arange(1, k + 1, dtype=np.float64)
-    best = np.minimum(np.min(log_vals, axis=1), 0.0)  # j = 0 gives exactly 1
+    log_partial = cols[0]
+    best = np.zeros(s.shape[0])  # j = 0 gives exactly 1
+    for j in range(k):
+        if j:
+            log_partial = np.logaddexp2(log_partial, cols[j])
+        np.minimum(best, np.logaddexp2(log_partial, 0.0) - (j + 1.0), out=best)
     return np.exp2(best)
 
 

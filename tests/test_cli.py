@@ -123,6 +123,52 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["hq-scan", "--config", str(tmp_path / "nope.cfg"), "--out", out]) == 2
 
 
+MINI_CONFIGS = {
+    "hq-scan": HQ_MINI,
+    "smirnov": SMIRNOV_MINI,
+    "aq-dichotomy": "prime_sets = [all]\nn_grid = [100]\n",
+    "poisson-phase": "lambda_grid = [10.0]\nv_grid = [10]\ninclude_gcurve = false\n",
+}
+
+
+@pytest.mark.parametrize("name, line", (
+    ("hq-scan", "z_factor = steep"),
+    ("hq-scan", "z_factor = NaN"),
+    ("hq-scan", "limit = [1, 2]"),
+    ("hq-scan", "x_grid = [0]"),
+    ("hq-scan", "y_grid = [2.0]"),
+    ("hq-scan", 'method = "fast"'),
+    ("smirnov", "daniels_u = [1.5]"),
+    ("smirnov", "daniels_samples = 0"),
+    ("smirnov", "barrier_k = 0"),
+    ("smirnov", "yk_m = -1"),
+    ("smirnov", "seed = abc"),
+    ("aq-dichotomy", "slope_threshold = flat"),
+    ("poisson-phase", "lambda_grid = [0]"),
+    ("poisson-phase", "v_grid = [ten]"),
+))
+def test_bad_config_values_exit_2(tmp_path, capsys, name, line):
+    # each of these once reached a kernel as a bare ValueError or TypeError, or
+    # (yk_m = -1) ran; now the config boundary names the value (later lines win)
+    cfg = write_cfg(tmp_path, MINI_CONFIGS[name] + line + "\n")
+    assert main([name, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_internal_error_exits_3_with_traceback(tmp_path, capsys, monkeypatch):
+    def broken_kernel(*args, **kwargs):
+        raise ValueError("planted kernel bug")
+
+    monkeypatch.setattr("multlab.experiments.count_hq", broken_kernel)
+    cfg = write_cfg(tmp_path, HQ_MINI)
+    assert main(["hq-scan", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "ValueError: planted kernel bug" in err
+    assert not err.startswith("error: ")
+
+
 def test_aq_dichotomy_single_point(tmp_path):
     cfg = write_cfg(tmp_path, "prime_sets = [all]\nn_grid = [100]\nseed = 3\n")
     out = tmp_path / "aq"

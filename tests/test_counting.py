@@ -273,6 +273,39 @@ def test_count_hq_methods_agree_on_other_moduli(desc):
         assert count_hq(ps, x, y, z, method="exhaustive").value == a
 
 
+HQ_PROPERTY_X = 20_000
+
+
+@st.composite
+def restricted_prime_sets(draw):
+    """A thinned set of density 0.2-0.9 under a drawn hash key, or a congruence
+    set mod 3-12 on a drawn nonempty set of unit residues."""
+    if draw(st.booleans()):
+        density = draw(st.floats(0.2, 0.9))
+        key = draw(st.integers(0, 2**32 - 1))
+        return make_prime_set("thinned", HQ_PROPERTY_X, target_density=density, seed=key)
+    m = draw(st.integers(3, 12))
+    units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+    residues = draw(st.lists(st.sampled_from(units), min_size=1, unique=True))
+    return make_prime_set("congruence", HQ_PROPERTY_X, modulus=m, residues=residues)
+
+
+@settings(max_examples=300)
+@given(restricted_prime_sets(), st.booleans(), st.floats(0, 1), st.floats(0, 0.99),
+       st.floats(0, 1))
+def test_count_hq_methods_agree_on_drawn_sets(ps, large, tx, ty, tz):
+    # as in c04: x uniform on [X/2, X] or log-uniform on [2, X], y uniform on
+    # [0, 0.99 x], z uniform on [y, x]
+    if large:
+        x = HQ_PROPERTY_X * (1.0 + tx) / 2.0
+    else:
+        x = math.exp(math.log(2.0) + tx * (math.log(HQ_PROPERTY_X) - math.log(2.0)))
+    y = ty * x
+    z = y + tz * (x - y)
+    a = count_hq(ps, x, y, z, method="divisor-multiples").value
+    assert count_hq(ps, x, y, z, method="exhaustive").value == a
+
+
 def test_count_hq_methods_stay_independent(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("shared machinery between the two H_Q methods")

@@ -20,8 +20,10 @@ from multlab import (
     vol_yk_mc,
 )
 from multlab.orderstats import (
+    _network,
     _ordered_batch,
     _steck_determinant,
+    _uk_integrand,
     _yk_hits,
     barrier_thresholds,
 )
@@ -118,6 +120,47 @@ def test_sample_ordered_uniforms():
     assert _ordered_batch(rng, 0, 3).shape == (0, 3)
 
 
+@pytest.mark.parametrize("n", (0, 1, 5, 20_000, 65_536))
+def test_ordered_batch_equals_row_sort(n):
+    # two generators from one seed: the network must return np.sort's rows;
+    # n = 20,000 ends on a partial tile
+    for k in range(1, 25):
+        s = _ordered_batch(block_generator(SEED, 5, k), n, k)
+        expected = np.sort(block_generator(SEED, 5, k).random((n, k)), axis=1)
+        assert np.array_equal(s, expected)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_network_sorts_every_binary_vector(k):
+    # 0-1 principle: sorting all 2^k binary inputs proves it sorts every input
+    codes = np.arange(1 << k, dtype=np.int64)
+    rows = (codes >> np.arange(k)[:, None]) & 1  # row i is bit i of every code
+    for i, j in _network(k):
+        assert 0 <= i < j < k
+        rows[i], rows[j] = np.minimum(rows[i], rows[j]), np.maximum(rows[i], rows[j])
+    assert np.all(rows[:-1] <= rows[1:])
+
+
+def _uk_integrand_row_wise(s, k, v):
+    # the cumsum-over-rows formula the column walk replaced, kept as its oracle
+    n = s.shape[0]
+    if v <= 500.0:
+        cs = np.cumsum(np.exp2(v * s), axis=1)
+        sums = np.concatenate([np.zeros((n, 1)), cs], axis=1)
+        weights = np.exp2(-np.arange(k + 1, dtype=np.float64))
+        return np.min((sums + 1.0) * weights, axis=1)
+    log_cs = np.logaddexp2.accumulate(v * s, axis=1)
+    log_vals = np.logaddexp2(log_cs, 0.0) - np.arange(1, k + 1, dtype=np.float64)
+    return np.exp2(np.minimum(np.min(log_vals, axis=1), 0.0))
+
+
+@pytest.mark.parametrize("v", (8.0, 600.0))
+def test_uk_integrand_matches_row_wise_formula(v):
+    for k in (1, 2, 5, 8, 12):
+        s = _ordered_batch(block_generator(SEED, 6, k), 10_000, k)
+        assert np.array_equal(_uk_integrand(s, k, v), _uk_integrand_row_wise(s, k, v))
+
+
 def test_qk_mc_matches_exact():
     exact = float(qk_exact(1, 5, 3))  # 0.864
     est = qk_mc(1.0, 5.0, 3, 40_000, SEED)
@@ -138,6 +181,16 @@ def test_mc_thread_invariance():
     y1 = vol_yk_mc(4, 6.0, 3.0, 0, 80_000, SEED, threads=1)
     y3 = vol_yk_mc(4, 6.0, 3.0, 0, 80_000, SEED, threads=3)
     assert y1.estimate == y3.estimate
+
+
+def test_barrier_events_thread_invariance():
+    # k = 20 runs the largest comparator network any experiment uses
+    spec = BarrierSpec(20, 20.0, 1.5, 0, 1.0 / 7.0)
+    single = barrier_events_mc(spec, 150_000, SEED, threads=1)
+    multi = barrier_events_mc(spec, 150_000, SEED, threads=3)
+    for a, b in zip(single, multi):
+        assert (a.estimate, a.std_error, a.hits) == (b.estimate, b.std_error, b.hits)
+    assert single[0].hits > 0
 
 
 def test_barrier_thresholds_shape():
