@@ -114,8 +114,8 @@ BARRIER_SAMPLES = 1_000_000
 BARRIER_FINAL_MIN = 0.9
 
 YK_KS = range(2, 11)
-YK_C = float(SMIRNOV_DEFAULTS["yk_c"])
-YK_M = int(SMIRNOV_DEFAULTS["yk_m"])
+YK_C = SMIRNOV_DEFAULTS["yk_c"]
+YK_M = SMIRNOV_DEFAULTS["yk_m"]
 YK_SAMPLES = 200_000
 YK_SIGMA = 4.0
 
@@ -412,8 +412,8 @@ def _crit_gaussian(ctx: Context) -> tuple[bool, str]:
 
 def _crit_barrier(ctx: Context) -> tuple[bool, str]:
     cfg = SMIRNOV_DEFAULTS
-    specs = [BarrierSpec(int(cfg["barrier_k"]), float(cfg["barrier_v"]), float(c),
-                         int(cfg["barrier_m_offset"]), float(cfg["barrier_mu"]))
+    specs = [BarrierSpec(cfg["barrier_k"], cfg["barrier_v"], c,
+                         cfg["barrier_m_offset"], cfg["barrier_mu"])
              for c in cfg["barrier_c"]]
     conds = []
     for spec in specs:
@@ -487,14 +487,14 @@ def _crit_uk(ctx: Context) -> tuple[bool, str]:
 
 def _hq_ratios(ctx: Context) -> dict[str, list[float]]:
     (x,) = HQ_SCAN_DEFAULTS["x_grid"]  # the fixture bands hold one x
-    zf = float(HQ_SCAN_DEFAULTS["z_factor"])
+    zf = HQ_SCAN_DEFAULTS["z_factor"]
     out = {}
     for kind, delta in (("all", 1.0), ("1mod4", 0.5)):
-        ps = ctx.prime_set(kind, x)
+        ps = ctx.prime_set(kind, int(x))
         ratios = []
         for y in HQ_SCAN_DEFAULTS["y_grid"]:
-            h = count_hq(ps, float(x), y, zf * y).value
-            ratios.append(h / main_term(float(x), y, delta))
+            h = count_hq(ps, x, y, zf * y).value
+            ratios.append(h / main_term(x, y, delta))
         out[kind] = ratios
     return out
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 
 
 class ConfigError(ValueError):
@@ -78,38 +79,39 @@ def parse_config_file(path) -> dict:
 
 
 def merged_config(defaults: dict, cfg: dict, experiment: str) -> dict:
-    """Overlay cfg on defaults; unknown keys are errors naming the field."""
+    """Overlay cfg on defaults, each value converted to its default's type;
+    unknown keys are errors naming the field.  A list default takes a non-empty
+    grid of its first element's type, a scalar being a one-point grid."""
     out = dict(defaults)
     for key, val in cfg.items():
         if key not in defaults:
             raise ConfigError(f"{experiment}: unknown config key {key!r} "
                               f"(known: {', '.join(sorted(defaults))})")
-        out[key] = val
+        where = f"{experiment}: {key}"
+        default = defaults[key]
+        if isinstance(default, list):
+            grid = val if isinstance(val, list) else [val]
+            if not grid:
+                raise ConfigError(f"{where} is an empty grid")
+            out[key] = [_typed(v, default[0], where) for v in grid]
+        else:
+            out[key] = _typed(val, default, where)
     return out
 
 
-def as_number(val, kind, key: str, experiment: str):
-    """kind(val) for one config value (kind is int or float), or a ConfigError
-    naming the key when val is not a finite number."""
-    try:
-        out = kind(val)
-        if math.isfinite(out):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{experiment}: {key} must be a finite number, got {val!r}")
-
-
-def require_grid(cfg: dict, key: str, experiment: str, kind=None) -> list:
-    """Fetch a non-empty list-valued grid, normalizing scalars to 1-element grids.
-
-    With kind (int or float) every element goes through as_number.
-    """
-    val = cfg[key]
-    if not isinstance(val, list):
-        val = [val]
-    if len(val) == 0:
-        raise ConfigError(f"{experiment}: {key} is an empty grid")
-    if kind is not None:
-        val = [as_number(v, kind, key, experiment) for v in val]
-    return val
+def _typed(val, default, where: str):
+    """val as the type of one scalar default, or a ConfigError naming where."""
+    kind = type(default)
+    if kind in (bool, str):
+        if isinstance(val, kind):
+            return val
+        raise ConfigError(f"{where} must be "
+                          f"{'true or false' if kind is bool else 'a string'}, got {val!r}")
+    if isinstance(val, numbers.Real) and not isinstance(val, bool):
+        try:
+            if math.isfinite(val) and (kind is float or val == int(val)):
+                return kind(val)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ConfigError(f"{where} must be a finite "
+                      f"{'integer' if kind is int else 'number'}, got {val!r}")

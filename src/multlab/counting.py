@@ -8,8 +8,10 @@ cross-validate each other.  S_Q membership up to x is a view of the prime set's
 own bitmap, which each set builds once, to its limit.  Neither bitmap kernel
 branches on the kind of prime set.  Because S_Q is closed under divisors, the
 divisor-multiples method marks the multiples of the members d in (y, z] and
-intersects the marks with the bitmap once.  A_Q ORs the bitmap's window of b
-into the cells a*b of each member a, one strided write per a.
+intersects the marks with the bitmap once.  A_Q reads its members a from the
+bitmap too, and ORs the bitmap's window of b into the cells a*b of each, one
+strided write per a.  Only the exhaustive H_Q method builds S_Q another way, as
+products of Q-primes.
 """
 
 from __future__ import annotations
@@ -162,8 +164,8 @@ def count_aq(ps: PrimeSet, n_bound: int) -> CountResult:
         raise ValueError(f"count_aq requires N >= 1, got {n_bound}")
     if n_bound > MAX_N_AQ:
         raise ValueError(f"count_aq capped at N <= {MAX_N_AQ}, got {n_bound}")
-    members = enumerate_sq(ps, n_bound)
     bm = _sq_bitmap(ps, n_bound)
+    members = np.flatnonzero(bm).tolist()
 
     total = 0
     top = n_bound * n_bound

@@ -1,8 +1,9 @@
 """Named experiments wiring prime sets, counts, predictors, and simulations.
 
-run_experiment fills a flat config dict from the experiment's defaults and
-runs the experiment's run_* body, which executes the grid and hands its tables
-to a reporter that writes them plus a JSON manifest into the output directory.
+run_experiment fills a flat config dict from the experiment's defaults, typed
+as they are, and runs the experiment's run_* body, which range-checks it, runs
+the grid and hands its tables to a reporter that writes them plus a JSON
+manifest into the output directory.
 CSV bodies are pure functions of the config; wall-clock data lives only in the
 manifest, so identical configs give byte-identical CSVs.
 """
@@ -22,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, as_number, merged_config, require_grid
-from .counting import HQ_METHODS, MAX_N_AQ, count_aq, count_hq, count_sq
+from .config import ConfigError, merged_config
+from .counting import HQ_METHODS, MAX_N_AQ, MAX_X_EXHAUSTIVE, count_aq, count_hq, count_sq
 from .orderstats import (
     YK_MU,
     BarrierSpec,
@@ -34,7 +35,7 @@ from .orderstats import (
     yk_bound,
 )
 from .poisson import classify_regime, e_factor, g_exponent, main_term
-from .primes import PrimeSet, density_audit, make_prime_set
+from .primes import MAX_X_BITMAP, PrimeSet, density_audit, make_prime_set
 
 AUDIT_GRID_POINTS = 12
 DEFAULT_SEED = 20260825
@@ -56,7 +57,7 @@ def resolve_prime_set(desc: str, limit: int, seed: int = 0) -> PrimeSet:
             return make_prime_set("congruence", limit,
                                   modulus=int(parts[1]), residues=residues)
         if kind == "thinned" and len(parts) in (2, 3):
-            key = int(parts[2]) if len(parts) == 3 else int(seed)
+            key = int(parts[2]) if len(parts) == 3 else seed
             return make_prime_set("thinned", limit,
                                   target_density=float(parts[1]), seed=key)
     except (ValueError, TypeError) as exc:
@@ -155,7 +156,7 @@ class _Reporter:
 HQ_SCAN_DEFAULTS = {
     "prime_sets": ["all", "congruence:4:1"],
     "limit": 10_000_000,
-    "x_grid": [10_000_000],
+    "x_grid": [10_000_000.0],
     "y_grid": [100.0, 316.22776601683796, 1000.0],
     "z_factor": 2.0,
     "method": "divisor-multiples",
@@ -165,26 +166,27 @@ HQ_SCAN_DEFAULTS = {
 
 def run_hq_scan(cfg: dict, rep: _Reporter) -> None:
     """Brute-force H_Q(x, y, z_factor*y) against the predictor over a grid."""
-    x_grid = require_grid(cfg, "x_grid", "hq-scan", float)
-    y_grid = require_grid(cfg, "y_grid", "hq-scan", float)
-    q_descs = require_grid(cfg, "prime_sets", "hq-scan")
-    limit = as_number(cfg["limit"], int, "limit", "hq-scan")
+    x_grid, y_grid, limit, zf = cfg["x_grid"], cfg["y_grid"], cfg["limit"], cfg["z_factor"]
+    if limit > MAX_X_BITMAP:
+        raise ConfigError(f"hq-scan: limit capped at {MAX_X_BITMAP}, got {limit}")
     if limit < max(x_grid):
         raise ConfigError(f"hq-scan: limit {limit} below max x {max(x_grid)}")
     if not min(x_grid) >= max(y_grid) > math.e:
         raise ConfigError(f"hq-scan: need every x >= every y > e, got x_grid "
                           f"{x_grid}, y_grid {y_grid}")
-    zf = as_number(cfg["z_factor"], float, "z_factor", "hq-scan")
     if zf <= 1.0:
         raise ConfigError(f"hq-scan: z_factor must exceed 1, got {zf}")
     if cfg["method"] not in HQ_METHODS:
         raise ConfigError(f"hq-scan: method must be one of {', '.join(HQ_METHODS)}, "
                           f"got {cfg['method']!r}")
+    if cfg["method"] == "exhaustive" and max(x_grid) > MAX_X_EXHAUSTIVE:
+        raise ConfigError(f"hq-scan: exhaustive method capped at x <= "
+                          f"{MAX_X_EXHAUSTIVE}, got {max(x_grid)}")
 
     rows = []
     timings = []  # manifest only: wall-clock data never enters the CSV
-    for desc in q_descs:
-        ps = resolve_prime_set(str(desc), limit, cfg["seed"])
+    for desc in cfg["prime_sets"]:
+        ps = resolve_prime_set(desc, limit, cfg["seed"])
         rep.prime_audits.append(audit_summary(ps))
         for x in x_grid:
             for y in y_grid:
@@ -219,21 +221,18 @@ def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
     The slope fit flags each Q as "flat" (product set has full relative size,
     the low-density side of the dichotomy) or "decaying".
     """
-    n_grid = sorted(require_grid(cfg, "n_grid", "aq-dichotomy", int))
+    n_grid = sorted(cfg["n_grid"])
     if n_grid[0] < 1:
         raise ConfigError(f"aq-dichotomy: N must be >= 1, got {n_grid[0]}")
     if n_grid[-1] > MAX_N_AQ:
         raise ConfigError(f"aq-dichotomy: N capped at {MAX_N_AQ}, got {n_grid[-1]}")
-    q_descs = require_grid(cfg, "prime_sets", "aq-dichotomy")
-    threshold = as_number(cfg["slope_threshold"], float, "slope_threshold",
-                          "aq-dichotomy")
     limit = max(n_grid[-1], 16)
 
     rows = []
     timings = []  # manifest only, as in hq-scan
     slopes = {}
-    for desc in q_descs:
-        ps = resolve_prime_set(str(desc), limit, cfg["seed"])
+    for desc in cfg["prime_sets"]:
+        ps = resolve_prime_set(desc, limit, cfg["seed"])
         rep.prime_audits.append(audit_summary(ps))
         ratios = []
         for n in n_grid:
@@ -252,8 +251,8 @@ def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
             slope = float(np.polyfit(np.log(n_grid), np.log(ratios), 1)[0])
         else:
             slope = 0.0
-        trend = "decaying" if slope <= threshold else "flat"
-        slopes[str(desc)] = {"slope": slope, "trend": trend, "delta": ps.delta}
+        trend = "decaying" if slope <= cfg["slope_threshold"] else "flat"
+        slopes[desc] = {"slope": slope, "trend": trend, "delta": ps.delta}
     rep.result.summary["slopes"] = slopes
     rep.result.summary["count_aq"] = timings
     rep.add_table("aq_dichotomy",
@@ -281,9 +280,7 @@ def run_poisson_phase(cfg: dict, rep: _Reporter) -> None:
         raise ConfigError("poisson-phase: both sections disabled, nothing to do")
 
     if cfg["include_regimes"]:
-        lam_grid = require_grid(cfg, "lambda_grid", "poisson-phase", float)
-        v_grid = require_grid(cfg, "v_grid", "poisson-phase", int)
-        eps = as_number(cfg["epsilon"], float, "epsilon", "poisson-phase")
+        lam_grid, v_grid, eps = cfg["lambda_grid"], cfg["v_grid"], cfg["epsilon"]
         if not (min(lam_grid) > 0 and min(v_grid) >= 1 and 0 < eps < 1):
             raise ConfigError("poisson-phase: need every lambda > 0, every v >= 1 "
                               "and 0 < epsilon < 1")
@@ -302,9 +299,8 @@ def run_poisson_phase(cfg: dict, rep: _Reporter) -> None:
                       rows)
 
     if cfg["include_gcurve"]:
-        d0, d1, step, lly = (as_number(cfg[key], float, key, "poisson-phase")
-                             for key in ("delta_min", "delta_max", "delta_step",
-                                         "loglog_y"))
+        d0, d1, step, lly = (cfg[key] for key in ("delta_min", "delta_max",
+                                                  "delta_step", "loglog_y"))
         if not (0.0 < d0 <= d1 <= 1.0 and step > 0 and lly > 0):
             raise ConfigError("poisson-phase: need 0 < delta_min <= delta_max <= 1, "
                               "delta_step > 0 and loglog_y > 0")
@@ -346,36 +342,27 @@ _SMIRNOV_HEADER = ["op", "k", "v", "u", "C", "M", "mu", "n",
 
 def run_smirnov(cfg: dict, rep: _Reporter) -> None:
     """Order-statistics study: Daniels exact vs MC, barrier conditioning, Y_k."""
-    def number(key, kind):
-        return as_number(cfg[key], kind, key, "smirnov")
-
-    def grid(key, kind):
-        return require_grid(cfg, key, "smirnov", kind)
-
-    base_seed = number("seed", int)
-    dn, bn, yn = (number(key, int)
-                  for key in ("daniels_samples", "barrier_samples", "yk_samples"))
+    base_seed = cfg["seed"]
+    dn, bn, yn = cfg["daniels_samples"], cfg["barrier_samples"], cfg["yk_samples"]
     if min(dn, bn, yn) < 1:
         raise ConfigError(f"smirnov: sample counts must be >= 1, got "
                           f"{dn}, {bn}, {yn}")
-    daniels = [(k, k + off, u) for k in grid("daniels_k", int)
-               for off in grid("daniels_v_offset", int)
-               for u in grid("daniels_u", float)]
+    daniels = [(k, k + off, u) for k in cfg["daniels_k"]
+               for off in cfg["daniels_v_offset"] for u in cfg["daniels_u"]]
     for k, v, u in daniels:
         if not (k >= 1 and k - v < u <= 1):
             raise ConfigError(f"smirnov: Daniels point k={k}, v={v}, u={u} "
                               "needs k >= 1 and k - v < u <= 1")
-    bk, bv = number("barrier_k", int), number("barrier_v", float)
-    bmu, bm = number("barrier_mu", float), number("barrier_m_offset", int)
-    barrier_cs = grid("barrier_c", float)
+    bk, bv, bm, bmu = (cfg[key] for key in ("barrier_k", "barrier_v",
+                                            "barrier_m_offset", "barrier_mu"))
     try:
-        specs = [BarrierSpec(bk, bv, c, bm, bmu) for c in barrier_cs]
+        specs = [BarrierSpec(bk, bv, c, bm, bmu) for c in cfg["barrier_c"]]
     except ValueError as exc:  # BarrierSpec only validates its fields
         raise ConfigError(f"smirnov: barrier: {exc}") from None
-    yc, ym = number("yk_c", float), number("yk_m", int)
+    yc, ym = cfg["yk_c"], cfg["yk_m"]
     if ym < 0:
         raise ConfigError(f"smirnov: yk_m must be >= 0, got {ym}")
-    yk_points = [(k, f * k) for k in grid("yk_k", int) for f in grid("yk_v_factor", float)]
+    yk_points = [(k, f * k) for k in cfg["yk_k"] for f in cfg["yk_v_factor"]]
     for k, vt in yk_points:
         if not 1 <= k <= vt:
             raise ConfigError(f"smirnov: Y_k point k={k}, v_tilde={vt} "
@@ -427,9 +414,10 @@ def run_experiment(name: str, cfg: dict | None, out_dir, *, seed=None,
         raise ConfigError(f"unknown experiment {name!r} "
                           f"(have: {', '.join(sorted(EXPERIMENTS))})")
     body, defaults = EXPERIMENTS[name]
-    cfg = merged_config(defaults, cfg or {}, name)
+    overrides = dict(cfg or {})
     if seed is not None:
-        cfg["seed"] = int(seed)
+        overrides["seed"] = seed
+    cfg = merged_config(defaults, overrides, name)
     rep = _Reporter(name.replace("-", "_"), out_dir, cfg, fmt, threads)
     body(cfg, rep)
     return rep.finish()

@@ -19,6 +19,9 @@ import numpy as np
 
 LOG2 = math.log(2.0)
 MAX_X_BITMAP = 1 << 31
+# factorize finds every prime factor of a modulus up to 2^32 in its table of
+# the primes below 2^16, so phi(modulus) costs one pass over that table at most
+MAX_MODULUS = 1 << 32
 
 _MASK64 = (1 << 64) - 1
 
@@ -154,15 +157,16 @@ def make_prime_set(
         if modulus is None or residues is None:
             raise ValueError("congruence prime set needs modulus and residues")
         m = int(modulus)
-        if m < 2:
-            raise ValueError(f"modulus must be >= 2, got {m}")
+        if not 2 <= m <= MAX_MODULUS:
+            raise ValueError(f"modulus must be in [2, {MAX_MODULUS}], got {m}")
         rset = sorted({int(a) % m for a in residues})
         if not rset:
             raise ValueError("empty residue set")
         for a in rset:
             if math.gcd(a, m) != 1:
                 raise ValueError(f"residue {a} is not coprime to modulus {m}")
-        phi = sum(1 for a in range(1, m + 1) if math.gcd(a, m) == 1)
+        from .divisors import factorize  # divisors imports this module
+        phi = math.prod((p - 1) * p ** (e - 1) for p, e in factorize(m).factors)
         keep = np.isin(primes % m, np.array(rset))
         return PrimeSet(
             "congruence",

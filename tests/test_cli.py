@@ -3,6 +3,7 @@
 import csv
 import filecmp
 import json
+import signal
 
 import pytest
 
@@ -138,22 +139,60 @@ MINI_CONFIGS = {
     ("hq-scan", "x_grid = [0]"),
     ("hq-scan", "y_grid = [2.0]"),
     ("hq-scan", 'method = "fast"'),
+    ("hq-scan", "seed = abc"),
+    ("hq-scan", "seed = 1.5"),
+    ("hq-scan", "limit = 3000000\nx_grid = [3000000]\nmethod = exhaustive"),
     ("smirnov", "daniels_u = [1.5]"),
     ("smirnov", "daniels_samples = 0"),
     ("smirnov", "barrier_k = 0"),
     ("smirnov", "yk_m = -1"),
     ("smirnov", "seed = abc"),
+    ("smirnov", "barrier_k = 1.9"),
     ("aq-dichotomy", "slope_threshold = flat"),
+    ("aq-dichotomy", "n_grid = [100.7]"),
     ("poisson-phase", "lambda_grid = [0]"),
     ("poisson-phase", "v_grid = [ten]"),
+    ("poisson-phase", "include_gcurve = False"),
 ))
 def test_bad_config_values_exit_2(tmp_path, capsys, name, line):
     # each of these once reached a kernel as a bare ValueError or TypeError, or
-    # (yk_m = -1) ran; now the config boundary names the value (later lines win)
+    # ran on a value other than the one given (include_gcurve = False wrote the
+    # curve, seed = 1.5 was recorded but keyed sets by 1, n_grid = [100.7]
+    # counted N = 100); now the config boundary names the value (later lines win)
     cfg = write_cfg(tmp_path, MINI_CONFIGS[name] + line + "\n")
     assert main([name, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+class _Overran(BaseException):
+    """Raised by the alarm below; main() reports an Exception, never this."""
+
+
+@pytest.mark.parametrize("modulus, code", (
+    (1_000_000_007, 0),  # within the cap: a set with no member up to the limit
+    (2**32 + 1, 2),
+    (2**64 + 1, 2),  # past int64, where primes % m once overflowed
+))
+def test_large_modulus_returns_within_a_second(tmp_path, capsys, modulus, code):
+    def overran(signum, frame):
+        raise _Overran(f"congruence:{modulus}:1 still running after 1 s")
+
+    cfg = write_cfg(tmp_path, HQ_MINI + f"prime_sets = [congruence:{modulus}:1]\n")
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        got = main(["hq-scan", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_internal_error_exits_3_with_traceback(tmp_path, capsys, monkeypatch):

@@ -7,8 +7,8 @@ from multlab.config import (
     merged_config,
     parse_config_file,
     parse_config_text,
-    require_grid,
 )
+from multlab.experiments import EXPERIMENTS
 
 SAMPLE = """
 # full-line comment
@@ -66,10 +66,41 @@ def test_merged_config():
     # the error must name the bad field and list the known ones
     assert "'c'" in str(err.value)
     assert "a, b" in str(err.value)
+    # a list default takes a non-empty grid, and a scalar is a one-point grid
+    assert merged_config({"g": [0.0]}, {"g": [1, 2]}, "exp") == {"g": [1.0, 2.0]}
+    assert merged_config({"g": [0.0]}, {"g": 3.5}, "exp") == {"g": [3.5]}
+    with pytest.raises(ConfigError, match="exp: g is an empty grid"):
+        merged_config({"g": [0.0]}, {"g": []}, "exp")
+    # an int default takes an integral number only, in any notation
+    assert merged_config(defaults, {"a": 1e7}, "exp")["a"] == 10_000_000
+    with pytest.raises(ConfigError, match="exp: a must be a finite integer"):
+        merged_config(defaults, {"a": 2.5}, "exp")
 
 
-def test_require_grid():
-    assert require_grid({"g": [1, 2]}, "g", "exp") == [1, 2]
-    assert require_grid({"g": 3.5}, "g", "exp") == [3.5]
-    with pytest.raises(ConfigError, match="empty grid"):
-        require_grid({"g": []}, "g", "exp")
+KEYS = [(name, key) for name, (_, defaults) in sorted(EXPERIMENTS.items())
+        for key in defaults]
+
+
+def _types(val):
+    return [type(v) for v in val] if isinstance(val, list) else type(val)
+
+
+@pytest.mark.parametrize("name, key", KEYS)
+def test_every_default_types_its_key(name, key):
+    # built from EXPERIMENTS, so a key added later is covered here too
+    defaults = EXPERIMENTS[name][1]
+    default = defaults[key]
+    got = merged_config(defaults, defaults, name)
+    assert got == defaults and _types(got[key]) == _types(default)
+
+    kind = type(default[0] if isinstance(default, list) else default)
+    bad = {str: [5], bool: ["False", 1], int: ["many", 1.5, True],
+           float: ["many", float("nan"), float("inf"), False]}[kind]
+    for val in bad:
+        with pytest.raises(ConfigError, match=f"{name}: {key} "):
+            merged_config(defaults, {key: val}, name)
+
+
+def test_hq_scan_x_grid_is_float():
+    # the body reads x as a float: the hq-scan CSV writes it as 10000000.0
+    assert _types(EXPERIMENTS["hq-scan"][1]["x_grid"]) == [float]

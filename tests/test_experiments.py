@@ -11,6 +11,7 @@ from multlab.acceptance import DETERMINISM_CONFIGS
 from multlab.config import ConfigError
 from multlab.counting import MAX_N_AQ
 from multlab.experiments import HQ_SCAN_DEFAULTS, run_experiment
+from multlab.primes import MAX_X_BITMAP
 
 # sha256 of every table body at DETERMINISM_CONFIGS; any byte change fails
 GOLDEN_CSV_SHA256 = {
@@ -74,3 +75,9 @@ def test_aq_dichotomy_manifest_records_count_aq_timing(tmp_path):
 def test_aq_dichotomy_rejects_n_above_cap(tmp_path):
     with pytest.raises(ConfigError, match="capped"):
         run_experiment("aq-dichotomy", {"n_grid": [MAX_N_AQ + 1]}, tmp_path)
+
+
+def test_hq_scan_rejects_limit_above_bitmap_cap(tmp_path):
+    # raised before any prime set is sieved to the limit
+    with pytest.raises(ConfigError, match="hq-scan: limit capped"):
+        run_experiment("hq-scan", {"limit": MAX_X_BITMAP + 1}, tmp_path)

@@ -71,6 +71,13 @@ def test_congruence_rejects_bad_residues():
         make_prime_set("congruence", 100, modulus=4)
 
 
+def test_congruence_delta_uses_euler_phi():
+    for m in range(2, 200):
+        units = [a for a in range(1, m + 1) if math.gcd(a, m) == 1]
+        ps = make_prime_set("congruence", 100, modulus=m, residues=(1,))
+        assert ps.delta == 1 / len(units), m
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         make_prime_set("random", 100)
