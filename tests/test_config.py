@@ -66,15 +66,18 @@ def test_merged_config():
     # the error must name the bad field and list the known ones
     assert "'c'" in str(err.value)
     assert "a, b" in str(err.value)
+    # an int default takes an integral number only, in any notation
+    assert merged_config(defaults, {"a": 1e7}, "exp")["a"] == 10_000_000
+    with pytest.raises(ConfigError, match="exp: a must be a finite integer"):
+        merged_config(defaults, {"a": 2.5}, "exp")
+
+
+def test_require_grid():
     # a list default takes a non-empty grid, and a scalar is a one-point grid
     assert merged_config({"g": [0.0]}, {"g": [1, 2]}, "exp") == {"g": [1.0, 2.0]}
     assert merged_config({"g": [0.0]}, {"g": 3.5}, "exp") == {"g": [3.5]}
     with pytest.raises(ConfigError, match="exp: g is an empty grid"):
         merged_config({"g": [0.0]}, {"g": []}, "exp")
-    # an int default takes an integral number only, in any notation
-    assert merged_config(defaults, {"a": 1e7}, "exp")["a"] == 10_000_000
-    with pytest.raises(ConfigError, match="exp: a must be a finite integer"):
-        merged_config(defaults, {"a": 2.5}, "exp")
 
 
 KEYS = [(name, key) for name, (_, defaults) in sorted(EXPERIMENTS.items())
