@@ -2,16 +2,17 @@
 products, and rough numbers.
 
 H_Q(x, y, z) counts n in S_Q, n <= x, having a divisor in (y, z]; A_Q(N) counts
-distinct products ab with a, b in S_Q up to N, by one segmented bitmap over
-[1, N^2].  Two independent H_Q methods are kept deliberately separate so they
-cross-validate each other.  S_Q membership up to x is a view of the prime set's
-own bitmap, which each set builds once, to its limit.  Neither bitmap kernel
-branches on the kind of prime set.  Because S_Q is closed under divisors, the
-divisor-multiples method marks the multiples of the members d in (y, z] and
-intersects the marks with the bitmap once.  A_Q reads its members a from the
-bitmap too, and ORs the bitmap's window of b into the cells a*b of each, one
-strided write per a.  Only the exhaustive H_Q method builds S_Q another way, as
-products of Q-primes.
+distinct products ab with a, b in S_Q up to N.  Two independent H_Q methods are
+kept deliberately separate so they cross-validate each other.  S_Q membership
+up to x is a view of the prime set's own bitmap, which each set builds once, to
+its limit.  No kernel branches on the kind of prime set.  Because S_Q is closed
+under divisors, the divisor-multiples method marks the multiples of the members
+d in (y, z] and intersects the marks with the bitmap once.  A_Q reads its
+members a from the bitmap too and has two exact kernels, chosen by the density
+of S_Q(N): a dense set ORs the bitmap's window of b into the cells a*b of a
+segmented bitmap over [1, N^2], one strided write per a; a sparse set sorts the
+member products a*b chunk by chunk and counts the distinct ones.  Only the
+exhaustive H_Q method builds S_Q another way, as products of Q-primes.
 """
 
 from __future__ import annotations
@@ -146,27 +147,21 @@ def count_sq(ps: PrimeSet, x: float) -> int:
     return int(np.count_nonzero(_sq_bitmap(ps, xi)))
 
 
-# The cap is run time: the set of all primes costs about N^2/2 strided
-# writes, about a minute at N = 1e5.
+# The cap is run time: the set of all primes, which always takes the bitmap
+# kernel, costs about N^2/2 strided writes, about a minute at N = 1e5.
 MAX_N_AQ = 100_000
 _AQ_SEGMENT = 1 << 24
+# The sorted kernel's chunk holds at most this many member pairs, and spans at
+# most 2^32 products, so each offset a*b - lo fits in uint32.
+_AQ_PAIRS = 1 << 18
+_AQ_SPAN_CAP = 1 << 32
 
 
-def count_aq(ps: PrimeSet, n_bound: int) -> CountResult:
-    """A_Q(N): number of distinct products ab with a, b in S_Q and a, b <= N.
-
-    A bitmap over [1, N^2], one segment at a time: for each member a, one
-    strided write ORs the S_Q bitmap's window of b into the cells a*b.
-    """
-    t0 = time.perf_counter()
-    n_bound = int(n_bound)
-    if n_bound < 1:
-        raise ValueError(f"count_aq requires N >= 1, got {n_bound}")
-    if n_bound > MAX_N_AQ:
-        raise ValueError(f"count_aq capped at N <= {MAX_N_AQ}, got {n_bound}")
-    bm = _sq_bitmap(ps, n_bound)
+def _aq_bitmap(bm: np.ndarray, n_bound: int) -> int:
+    """A_Q(N) by a bitmap over [1, N^2], one segment at a time: for each
+    member a, one strided write ORs the S_Q bitmap's window of b into the
+    cells a*b."""
     members = np.flatnonzero(bm).tolist()
-
     total = 0
     top = n_bound * n_bound
     for lo in range(1, top + 1, _AQ_SEGMENT):
@@ -181,7 +176,76 @@ def count_aq(ps: PrimeSet, n_bound: int) -> CountResult:
             if b_lo <= b_hi:
                 seg[a * b_lo - lo : a * b_hi - lo + 1 : a] |= bm[b_lo : b_hi + 1]
         total += int(np.count_nonzero(seg))
-    return CountResult(total, "segmented-bitmap", time.perf_counter() - t0)
+    return total
+
+
+def _aq_sorted(members: np.ndarray, n_bound: int) -> int:
+    """A_Q(N) by sorting the member products a*b, a <= b, one chunk of the
+    product range [1, N^2] at a time, and counting the distinct values.
+
+    A chunk [lo, hi) takes every member a with a*N >= lo and a*a < hi, each
+    with its window of b, found by searchsorted; its products are one ragged
+    gather.  The span starts at its cap, halves while a chunk holds more than
+    _AQ_PAIRS pairs and doubles after a chunk that holds under half of them.
+    """
+    narrow = members.astype(np.uint32)  # members <= MAX_N_AQ
+    top = n_bound * n_bound
+    total = 0
+    lo, span = 1, _AQ_SPAN_CAP
+    while lo <= top:
+        hi = min(lo + span, top + 1)
+        i0 = int(np.searchsorted(members, -(-lo // n_bound)))
+        i1 = int(np.searchsorted(members, math.isqrt(hi - 1), "right"))
+        a = members[i0:i1]
+        # b runs over members[j0:j1]: b >= a, a*b >= lo and a*b < hi
+        j0 = np.maximum(np.arange(i0, i1), np.searchsorted(members, -(-lo // a)))
+        j1 = np.searchsorted(members, (hi - 1) // a, "right")
+        runs = np.maximum(j1 - j0, 0)
+        pairs = int(runs.sum())
+        if pairs > _AQ_PAIRS and span > 1:
+            span //= 2
+            continue
+        if pairs:
+            idx = np.arange(pairs, dtype=np.int64)
+            idx += np.repeat(j0 - (np.cumsum(runs) - runs), runs)
+            prods = narrow[idx]
+            del idx
+            # uint32 arithmetic wraps mod 2^32, and the true offset lies in
+            # [0, span) with span <= 2^32, so the wrapped value is exact
+            prods *= np.repeat(narrow[i0:i1], runs)
+            prods -= np.uint32(lo & 0xFFFFFFFF)
+            prods.sort()
+            total += 1 + int(np.count_nonzero(prods[1:] != prods[:-1]))
+        lo = hi
+        if 2 * pairs < _AQ_PAIRS:
+            span = min(2 * span, _AQ_SPAN_CAP)
+    return total
+
+
+def count_aq(ps: PrimeSet, n_bound: int) -> CountResult:
+    """A_Q(N): number of distinct products ab with a, b in S_Q and a, b <= N.
+
+    Two exact kernels, chosen by the density of S_Q(N).  With m members, the
+    bitmap kernel makes W = m(N+1) - sum(members) strided writes and the
+    sorted kernel sorts m(m+1)/2 pairs.  Charging a sorted pair two strided
+    writes, a set takes "sorted-products" iff m(m+1) < W and
+    "segmented-bitmap" otherwise; the set of all primes, with W = m(m+1)/2,
+    always takes the bitmap.  Both kernels give the same count.
+    """
+    t0 = time.perf_counter()
+    n_bound = int(n_bound)
+    if n_bound < 1:
+        raise ValueError(f"count_aq requires N >= 1, got {n_bound}")
+    if n_bound > MAX_N_AQ:
+        raise ValueError(f"count_aq capped at N <= {MAX_N_AQ}, got {n_bound}")
+    bm = _sq_bitmap(ps, n_bound)
+    members = np.flatnonzero(bm)
+    m = members.size
+    if m * (m + 1) < m * (n_bound + 1) - int(members.sum()):
+        value, method = _aq_sorted(members, n_bound), "sorted-products"
+    else:
+        value, method = _aq_bitmap(bm, n_bound), "segmented-bitmap"
+    return CountResult(value, method, time.perf_counter() - t0)
 
 
 def count_rough(ps: PrimeSet, x: float, z: float) -> CountResult:

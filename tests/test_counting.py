@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multlab.counting as counting
@@ -145,13 +145,67 @@ def test_count_aq_matches_outer_product_everywhere(desc, n, k):
 
 
 def test_count_aq_segmented_path(ps_all, ps_1mod4, ps_thinned, monkeypatch):
-    # segments far shorter than N^2 = 2.25e6, so marks cross segment edges
+    # segments far shorter than N^2 = 2.25e6, so marks cross segment edges;
+    # the sparse sets take the sorted kernel in count_aq, so call the bitmap
     monkeypatch.setattr(counting, "_AQ_SEGMENT", 1 << 17)
     for ps, n in ((ps_all, 1500), (ps_1mod4, 1500), (ps_thinned, 1500)):
-        res = count_aq(ps, n)
-        assert res.method == "segmented-bitmap"
+        bm = counting._sq_bitmap(ps, n)
         members = np.array(enumerate_sq(ps, n), dtype=np.int64)
+        assert counting._aq_bitmap(bm, n) == len(np.unique(np.outer(members, members)))
+
+
+def test_count_aq_chooses_by_density(ps_all, ps_1mod4, ps_thinned):
+    assert count_aq(ps_all, 1000).method == "segmented-bitmap"
+    for ps in (ps_1mod4, ps_thinned):
+        res = count_aq(ps, 1500)
+        assert res.method == "sorted-products"
+        members = np.array(enumerate_sq(ps, 1500), dtype=np.int64)
         assert res.value == len(np.unique(np.outer(members, members)))
+
+
+@settings(max_examples=60)
+@given(desc=st.sampled_from(AQ_SETS), n=st.integers(1, 400), k=st.integers(4, 14),
+       j=st.integers(3, 14))
+@example(desc="all", n=1, k=4, j=0)
+@example(desc="all", n=2, k=4, j=0)
+@example(desc="all", n=40, k=4, j=0)  # one pair per chunk, then chunks of one product
+@example(desc="thinned:0.4:20260825", n=4, k=4, j=3)  # S_Q(4) = {1}
+def test_aq_kernels_match_outer_product(desc, n, k, j):
+    ps = resolve_prime_set(desc, 400)
+    bm = counting._sq_bitmap(ps, n)
+    members = np.flatnonzero(bm)
+    expected = len(np.unique(np.outer(members, members)))
+    # pair budgets from 8 to 16,384 (1 in the examples) against up to 80,200
+    # pairs, so chunks split, halve and double across the product range
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(counting, "_AQ_SEGMENT", 1 << k)
+        m.setattr(counting, "_AQ_PAIRS", 1 << j)
+        assert counting._aq_bitmap(bm, n) == expected
+        assert counting._aq_sorted(members, n) == expected
+
+
+def test_thinned_set_below_its_first_prime_is_one():
+    ps = resolve_prime_set("thinned:0.4:20260825", 400)
+    assert np.flatnonzero(counting._sq_bitmap(ps, 4)).tolist() == [1]
+    assert count_aq(ps, 4).value == 1
+
+
+def test_count_aq_past_uint32_products():
+    # N^2 = 4.9e9 > 2^32; the bitmap kernel gave this count
+    n = 70_000
+    res = count_aq(resolve_prime_set("thinned:0.2:3", n), n)
+    assert res.method == "sorted-products"
+    assert res.value == 5_692_997
+
+
+def test_sorted_chunks_span_at_most_2_32_products(monkeypatch):
+    # a pair budget above all 725,410 pairs, so the first chunk spans the
+    # whole cap; a chunk past 2^32 products would wrap 23 of them onto
+    # others.  The bitmap kernel gave this count.
+    monkeypatch.setattr(counting, "_AQ_PAIRS", 1 << 20)
+    n = 100_000
+    members = np.flatnonzero(counting._sq_bitmap(resolve_prime_set("thinned:0.1:3", n), n))
+    assert counting._aq_sorted(members, n) == 710_483
 
 
 def test_count_aq_validation(ps_all):
