@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import resource
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -145,6 +146,10 @@ class _Reporter:
             "files": self.files,
             "timestamp_utc": datetime.now(timezone.utc).isoformat(),
             "elapsed_seconds": round(time.perf_counter() - self.t0, 6),
+            # the process's high-water mark (KiB on Linux), so it includes
+            # any earlier peak of an in-process caller
+            "peak_rss_mb": round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         }
         path = self.result.out_dir / f"{self.result.name}_manifest.json"
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",

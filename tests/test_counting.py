@@ -20,7 +20,7 @@ from multlab import (
     factorize,
     in_sq,
 )
-from multlab.divisors import l_measure
+from multlab.divisors import _smallest_prime_factors, l_measure
 from multlab.experiments import resolve_prime_set
 from multlab.primes import LOG2, PrimeSet, make_prime_set
 
@@ -182,6 +182,32 @@ def test_aq_kernels_match_outer_product(desc, n, k, j):
         m.setattr(counting, "_AQ_PAIRS", 1 << j)
         assert counting._aq_bitmap(bm, n) == expected
         assert counting._aq_sorted(members, n) == expected
+
+
+@pytest.mark.parametrize("desc", AQ_SETS)
+def test_aq_row_bound_keeps_every_product(desc):
+    # the bitmap kernel's row bound without segments: row a > 1 takes only
+    # b >= first(a) = max(a, n // p + 1), p the smallest prime factor of a,
+    # and row 1 takes every b
+    ps = resolve_prime_set(desc, 200)
+    spf = _smallest_prime_factors(200)
+    for n in range(1, 201):
+        members = np.flatnonzero(counting._sq_bitmap(ps, n))
+        first = np.maximum(members, n // spf[members] + 1)
+        first[members == 1] = 1
+        table = np.outer(members, members)
+        kept = table[members[None, :] >= first[:, None]]
+        assert np.array_equal(np.unique(kept), np.unique(table))
+
+
+def test_count_aq_dense_sets_across_segments():
+    # counts from the bitmap kernel before it had a row bound; N^2 spans
+    # 48 and 12 segments of 2^23 cells
+    for desc, n, value in (("all", 20_000, 87_938_320),
+                           ("thinned:0.9:1", 10_000, 16_481_236)):
+        res = count_aq(resolve_prime_set(desc, n), n)
+        assert res.method == "segmented-bitmap"
+        assert res.value == value
 
 
 def test_thinned_set_below_its_first_prime_is_one():

@@ -70,6 +70,7 @@ def test_aq_dichotomy_manifest_records_count_aq_timing(tmp_path):
     assert [t["method"] for t in timings] == [kernel[r["q"]] for r in rows]
     assert all(t["elapsed_seconds"] >= 0 for t in timings)
     assert sum(t["elapsed_seconds"] for t in timings) <= manifest["elapsed_seconds"] + 0.001
+    assert manifest["peak_rss_mb"] > 0
     header = (tmp_path / "aq_dichotomy.csv").read_text().splitlines()[0]
     assert "elapsed" not in header and "method" not in header
 
