@@ -13,12 +13,10 @@ from .primes import (
 )
 from .divisors import (
     Factorization,
-    IntervalUnion,
     divisors,
     enumerate_sq,
     factorize,
     in_sq,
-    l_interval_union,
     l_measure,
     w_count,
 )
@@ -30,7 +28,6 @@ from .counting import (
     count_sq,
 )
 from .poisson import (
-    PoissonParams,
     RegimeReport,
     classify_regime,
     e_factor,
@@ -38,7 +35,6 @@ from .poisson import (
     key_identity_rhs,
     main_term,
     partial_poisson,
-    poisson_params,
     poisson_sum,
     poisson_sum_log,
 )

@@ -1,4 +1,4 @@
-"""Divisor structure of integers: factorizations, the interval system
+"""Divisor structure of integers: factorizations, the measure
 
     L(a) = meas( union over d|a of (log d - log 2, log d] )
 
@@ -137,42 +137,27 @@ def enumerate_sq(ps: PrimeSet, x: float) -> list[int]:
     return out.tolist()
 
 
-@dataclass
-class IntervalUnion:
-    """Disjoint sorted half-open intervals (lo, hi] with total measure."""
-
-    intervals: tuple[tuple[float, float], ...]
-    measure: float
-
-
-def _merge_log_intervals(logs: list[float]) -> IntervalUnion:
-    """Union of (t - log 2, t] for t in logs (ascending), glued with 1e-12 slack."""
-    merged: list[list[float]] = []
-    for t in logs:
-        lo = t - LOG2
-        if merged and lo <= merged[-1][1] + MERGE_SLACK:
-            if t > merged[-1][1]:
-                merged[-1][1] = t
-        else:
-            merged.append([lo, t])
-    intervals = tuple((lo, hi) for lo, hi in merged)
-    return IntervalUnion(intervals, math.fsum(hi - lo for lo, hi in intervals))
-
-
-def _l_union_sorted(a: int, divs: list[int]) -> IntervalUnion:
-    """The interval system of a from its ascending divisor list."""
+def _l_measure_sorted(a: int, divs: list[int]) -> float:
+    """L(a) from its ascending divisors: fsum of the glued interval lengths."""
     if len(divs) > MAX_DIVISORS_L:
         raise ValueError(f"{a} has {len(divs)} divisors, beyond the {MAX_DIVISORS_L} cap")
-    return _merge_log_intervals([math.log(d) for d in divs])
-
-
-def l_interval_union(a: int) -> IntervalUnion:
-    """The interval system of a: union over divisors d of (log d - log 2, log d]."""
-    return _l_union_sorted(a, divisors(a))
+    rest = iter(divs)
+    hi = math.log(next(rest))
+    lo = hi - LOG2
+    lengths: list[float] = []
+    for d in rest:
+        t = math.log(d)
+        if t - LOG2 > hi + MERGE_SLACK:  # a gap: the interval (lo, hi] is complete
+            lengths.append(hi - lo)
+            lo = t - LOG2
+        hi = t
+    lengths.append(hi - lo)
+    return math.fsum(lengths)
 
 
 def l_measure(a: int) -> float:
-    return l_interval_union(a).measure
+    """L(a), the measure of the union over divisors d of (log d - log 2, log d]."""
+    return _l_measure_sorted(a, divisors(a))
 
 
 def w_count(a: int) -> int:
@@ -243,4 +228,4 @@ def _walk_squarefree(n: int, spf: memoryview):
             for p in primes:
                 divs += [d * p for d in divs]
             divs.sort()
-            yield a, primes, _l_union_sorted(a, divs).measure, _w_count_sorted(a, divs)
+            yield a, primes, _l_measure_sorted(a, divs), _w_count_sorted(a, divs)

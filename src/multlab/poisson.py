@@ -4,7 +4,8 @@
 
 its exact rearrangement, partial Poisson mass, the predictor exponents
 G(delta) and E(y; delta), and the five-regime envelope classifier driven by
-theta = lam - v.
+theta = lam - v.  Sigma is exact for an int or Fraction lam with v <= 200;
+every other input goes through its log-sum.
 """
 
 from __future__ import annotations
@@ -17,26 +18,6 @@ from .primes import LOG2
 
 LOG4 = math.log(4.0)
 EXACT_V_CAP = 200
-FLOAT_DIRECT_LAMBDA = 700.0
-FLOAT_DIRECT_V = 170
-
-
-@dataclass
-class PoissonParams:
-    lam: float
-    v: int
-    theta: float
-
-
-def poisson_params(loglog_y: float, delta: float) -> PoissonParams:
-    """lam = 2*delta*loglog y, v = floor(loglog y / log 2)."""
-    if loglog_y < LOG2:
-        raise ValueError(f"loglog_y = {loglog_y} gives v = 0; need loglog_y >= log 2")
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
-    lam = 2.0 * delta * loglog_y
-    v = int(math.floor(loglog_y / LOG2))
-    return PoissonParams(lam, v, lam - v)
 
 
 def _is_exact(x) -> bool:
@@ -44,12 +25,12 @@ def _is_exact(x) -> bool:
 
 
 def poisson_sum(lam, v: int):
-    """Sigma(lam, v).  Exact Fraction for rational lam with v <= 200;
-    float otherwise (inf when the true value overflows float64)."""
+    """Sigma(lam, v): an exact Fraction for an int or Fraction lam with v <= 200,
+    else exp of `poisson_sum_log` (inf only past the float64 range)."""
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:  # a nan or inf lam would come back as nan
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if _is_exact(lam) and v <= EXACT_V_CAP:
         lam_f = Fraction(lam)
         total = Fraction(0)
@@ -58,16 +39,10 @@ def poisson_sum(lam, v: int):
             term = term * lam_f / k
             total += term * Fraction(v - k + 1, v)
         return total
-    lam = float(lam)
-    if lam <= FLOAT_DIRECT_LAMBDA and v <= FLOAT_DIRECT_V:
-        total = 0.0
-        term = 1.0
-        for k in range(1, v + 1):
-            term = term * lam / k
-            total += term * (v - k + 1) / v
-        return total
-    log_val = poisson_sum_log(lam, v)
-    return math.exp(log_val) if log_val < 709 else math.inf
+    try:
+        return math.exp(poisson_sum_log(lam, v))
+    except OverflowError:
+        return math.inf
 
 
 def poisson_sum_log(lam: float, v: int) -> float:
@@ -87,37 +62,28 @@ def poisson_sum_log(lam: float, v: int) -> float:
     return m + math.log(math.fsum(math.exp(l - m) for l in logs))
 
 
-def key_identity_rhs(lam, v: int):
+def key_identity_rhs(lam, v: int) -> Fraction:
     """Exact rearrangement of Sigma(lam, v):
 
         ((v - lam + 1)/v) * sum_{1<=k<=v} lam^k/k!  +  (lam/v) * (lam^v/v! - 1).
 
-    Agrees with poisson_sum identically (pre-truncation form)."""
+    Equals poisson_sum identically (pre-truncation form).  Exact inputs
+    only: lam an int or Fraction, and v <= 200."""
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    if _is_exact(lam) and v <= EXACT_V_CAP:
-        lam_f = Fraction(lam)
-        s = Fraction(0)
-        term = Fraction(1)
-        for k in range(1, v + 1):
-            term = term * lam_f / k
-            s += term
-        top = term  # lam^v / v!
-        return (v - lam_f + 1) / v * s + lam_f / v * (top - 1)
-    lam = float(lam)
-    if lam > FLOAT_DIRECT_LAMBDA or v > FLOAT_DIRECT_V:
-        raise ValueError(
-            "float path of key_identity_rhs is limited to lam <= 700, v <= 170; "
-            "pass Fraction inputs or use poisson_sum_log"
-        )
-    s = 0.0
-    term = 1.0
+    if not (_is_exact(lam) and v <= EXACT_V_CAP):
+        raise ValueError(f"key_identity_rhs needs an int or Fraction lam and "
+                         f"v <= {EXACT_V_CAP}, got lam = {lam!r}, v = {v}")
+    lam_f = Fraction(lam)
+    s = Fraction(0)
+    term = Fraction(1)
     for k in range(1, v + 1):
-        term = term * lam / k
+        term = term * lam_f / k
         s += term
-    return (v - lam + 1) / v * s + lam / v * (term - 1.0)
+    top = term  # lam^v / v!
+    return (v - lam_f + 1) / v * s + lam_f / v * (top - 1)
 
 
 def partial_poisson(lam: float, z: float) -> float:

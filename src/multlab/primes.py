@@ -22,14 +22,15 @@ MAX_X_BITMAP = 1 << 31
 # factorize finds every prime factor of a modulus up to 2^32 in its table of
 # the primes below 2^16, so phi(modulus) costs one pass over that table at most
 MAX_MODULUS = 1 << 32
+SIEVE_SEGMENT = 1 << 20  # odd numbers per segment of sieve_primes
 
 _MASK64 = (1 << 64) - 1
 
 
-def sieve_primes(limit: int, segment_size: int = 1 << 20) -> np.ndarray:
+def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, by an odd-only segmented sieve.
 
-    Memory stays O(sqrt(limit) + segment_size) plus the output array.
+    Memory stays O(sqrt(limit) + SIEVE_SEGMENT) plus the output array.
     """
     if limit < 2:
         raise ValueError(f"sieve_primes requires limit >= 2, got {limit}")
@@ -48,9 +49,9 @@ def sieve_primes(limit: int, segment_size: int = 1 << 20) -> np.ndarray:
     base_primes = 2 * np.nonzero(base)[0] + 1  # odd primes <= root
 
     chunks = [np.array([2], dtype=np.int64)]
-    lo = 3  # stays odd: each step is 2 * segment_size, and the last ends the loop
+    lo = 3  # stays odd: each step is 2 * SIEVE_SEGMENT, and the last ends the loop
     while lo <= limit:
-        hi = min(lo + 2 * segment_size, limit + 1)
+        hi = min(lo + 2 * SIEVE_SEGMENT, limit + 1)
         seg = np.ones((hi - lo + 1) // 2, dtype=bool)  # index i -> lo + 2i
         for p in base_primes:
             p = int(p)

@@ -10,7 +10,6 @@ from multlab import (
     factorize,
     divisors,
     in_sq,
-    l_interval_union,
     l_measure,
     make_prime_set,
     w_count,
@@ -112,23 +111,16 @@ def test_walkers_at_square_caps(desc):
         assert enumerate_sq(ps, cap) == [n for n in members if n <= cap], cap
 
 
-def test_l_interval_union_singletons():
-    u1 = l_interval_union(1)
-    assert u1.intervals == ((-LOG2, 0.0),)
-    assert u1.measure == pytest.approx(LOG2)
+def test_l_measure_singletons():
+    assert l_measure(1) == LOG2  # the one interval (-log 2, 0]
 
     # divisors 1, 3 sit more than a factor 2 apart: two disjoint intervals
-    u3 = l_interval_union(3)
-    assert len(u3.intervals) == 2
-    assert u3.measure == pytest.approx(2 * LOG2)
+    assert l_measure(3) == pytest.approx(2 * LOG2)
 
 
-def test_l_interval_union_merges_chain():
+def test_l_measure_merges_chain():
     # divisors 1, 2, 3, 6 chain into one interval of length log 2 + log 6
-    u6 = l_interval_union(6)
-    assert len(u6.intervals) == 1
-    assert u6.measure == pytest.approx(math.log(12))
-    assert l_measure(6) == pytest.approx(u6.measure)
+    assert l_measure(6) == pytest.approx(math.log(12))
 
 
 def test_l_upper_bounds():

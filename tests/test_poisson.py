@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from multlab import (
@@ -15,7 +17,6 @@ from multlab import (
     key_identity_rhs,
     main_term,
     partial_poisson,
-    poisson_params,
     poisson_sum,
     poisson_sum_log,
 )
@@ -46,7 +47,7 @@ def test_poisson_sum_float_matches_exact():
 
 
 def test_poisson_sum_log_path_consistent():
-    # v above the direct-float cap exercises the log-sum-exp branch
+    # a float lam takes the log-sum-exp branch; the Fraction lam stays exact
     exact = poisson_sum(Fraction(50), 180)
     via_log = poisson_sum(50.0, 180)
     assert via_log == pytest.approx(float(exact), rel=1e-9)
@@ -56,11 +57,29 @@ def test_poisson_sum_log_path_consistent():
     assert poisson_sum_log(0.0, 5) == -math.inf
 
 
+@settings(max_examples=100)
+@given(lam=st.floats(0, 700, allow_subnormal=False), v=st.integers(1, 170))
+def test_poisson_sum_float_path_matches_exact(lam, v):
+    exact = float(poisson_sum(Fraction(lam), v))
+    assert poisson_sum(lam, v) == pytest.approx(exact, rel=1e-12)
+
+
+def test_poisson_sum_float_near_overflow_is_finite():
+    # log Sigma = 709.4 here: below log(max float) = 709.78, so the value fits
+    lam = 4188.899603388565
+    exact = float(poisson_sum(Fraction(lam), 171))
+    assert math.isfinite(exact)
+    assert poisson_sum(lam, 171) == pytest.approx(exact, rel=1e-12)
+
+
 def test_poisson_sum_validation():
     with pytest.raises(ValueError):
         poisson_sum(3, 0)
     with pytest.raises(ValueError):
         poisson_sum(-1, 3)
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            poisson_sum(lam, 3)
     with pytest.raises(ValueError):
         poisson_sum_log(3.0, 0)
 
@@ -68,7 +87,6 @@ def test_poisson_sum_validation():
 def test_key_identity_example():
     assert key_identity_rhs(3, 2) == Fraction(21, 4)
     assert poisson_sum(3, 2) == Fraction(21, 4)
-    assert key_identity_rhs(3.0, 2) == pytest.approx(5.25, rel=1e-15)
 
 
 def test_key_identity_exact_property():
@@ -79,11 +97,12 @@ def test_key_identity_exact_property():
         assert poisson_sum(lam, v) == key_identity_rhs(lam, v)
 
 
-def test_key_identity_float_range_guard():
+def test_key_identity_rejects_inexact_inputs():
     with pytest.raises(ValueError):
-        key_identity_rhs(800.0, 10)
+        key_identity_rhs(3.0, 2)
     with pytest.raises(ValueError):
-        key_identity_rhs(5.0, 200)
+        key_identity_rhs(Fraction(5), 201)
+    assert key_identity_rhs(Fraction(5), 200) == poisson_sum(Fraction(5), 200)
 
 
 def test_partial_poisson_matches_scipy():
@@ -208,14 +227,3 @@ def test_classify_regime_validation():
         classify_regime(0.0, 5, 0.1)
     with pytest.raises(ValueError):
         classify_regime(10.0, 5, 1.0)
-
-
-def test_poisson_params():
-    p = poisson_params(5.0, 0.5)
-    assert (p.lam, p.v, p.theta) == (5.0, 7, -2.0)
-    with pytest.raises(ValueError):
-        poisson_params(0.5, 0.5)  # v would be 0
-    with pytest.raises(ValueError):
-        poisson_params(5.0, 0.0)
-    with pytest.raises(ValueError):
-        poisson_params(5.0, 1.5)

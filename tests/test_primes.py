@@ -12,6 +12,7 @@ from multlab import (
     pi_q,
     sieve_primes,
 )
+from multlab import primes
 from multlab.experiments import AUDIT_GRID_POINTS, audit_summary
 
 
@@ -33,10 +34,11 @@ def test_sieve_prime_counts():
     assert len(sieve_primes(10**6)) == 78498
 
 
-def test_sieve_segmentation_is_invisible():
+def test_sieve_segmentation_is_invisible(monkeypatch):
     ref = sieve_primes(10**4).tolist()
     for seg in (16, 100, 257):
-        assert sieve_primes(10**4, segment_size=seg).tolist() == ref
+        monkeypatch.setattr(primes, "SIEVE_SEGMENT", seg)
+        assert sieve_primes(10**4).tolist() == ref
 
 
 def test_sieve_rejects_tiny_limit():
