@@ -5,7 +5,11 @@
 its exact rearrangement, partial Poisson mass, the predictor exponents
 G(delta) and E(y; delta), and the five-regime envelope classifier driven by
 theta = lam - v.  Sigma is exact for an int or Fraction lam with v <= 200;
-every other input goes through its log-sum.
+every other input goes through its log-sum.  The exact paths work in
+integers: with lam = p/q each term lam^k / k! is scaled by D = q^v * v! to
+the integer p^k * q^(v-k) * v!/k!, and the result is reduced once, as a
+Fraction over D * v (times q for the rearrangement).  A nan or infinite
+argument raises ValueError instead of coming back as nan.
 """
 
 from __future__ import annotations
@@ -29,16 +33,18 @@ def poisson_sum(lam, v: int):
     else exp of `poisson_sum_log` (inf only past the float64 range)."""
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
-    if not 0 <= lam < math.inf:  # a nan or inf lam would come back as nan
+    if not 0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if _is_exact(lam) and v <= EXACT_V_CAP:
-        lam_f = Fraction(lam)
-        total = Fraction(0)
-        term = Fraction(1)
+        # lam = p/q; t = D * lam^k / k! with D = q^v * v! stays an integer
+        p, q = lam.as_integer_ratio()
+        d = q**v * math.factorial(v)
+        t = d
+        total = 0
         for k in range(1, v + 1):
-            term = term * lam_f / k
-            total += term * Fraction(v - k + 1, v)
-        return total
+            t = t * p // (q * k)
+            total += t * (v - k + 1)
+        return Fraction(total, d * v)
     try:
         return math.exp(poisson_sum_log(lam, v))
     except OverflowError:
@@ -50,7 +56,9 @@ def poisson_sum_log(lam: float, v: int) -> float:
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
     lam = float(lam)
-    if lam <= 0:
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    if lam == 0:
         return -math.inf
     log_lam = math.log(lam)
     logs = []
@@ -76,25 +84,30 @@ def key_identity_rhs(lam, v: int) -> Fraction:
     if not (_is_exact(lam) and v <= EXACT_V_CAP):
         raise ValueError(f"key_identity_rhs needs an int or Fraction lam and "
                          f"v <= {EXACT_V_CAP}, got lam = {lam!r}, v = {v}")
-    lam_f = Fraction(lam)
-    s = Fraction(0)
-    term = Fraction(1)
+    # lam = p/q; t = D * lam^k / k! with D = q^v * v! stays an integer
+    p, q = lam.as_integer_ratio()
+    d = q**v * math.factorial(v)
+    t = d
+    s = 0
     for k in range(1, v + 1):
-        term = term * lam_f / k
-        s += term
-    top = term  # lam^v / v!
-    return (v - lam_f + 1) / v * s + lam_f / v * (top - 1)
+        t = t * p // (q * k)
+        s += t
+    # t is now D * lam^v / v!
+    return Fraction((v * q - p + q) * s + p * (t - d), q * v * d)
 
 
 def partial_poisson(lam: float, z: float) -> float:
     """sum_{0 <= k <= lam + z} lam^k/k!, divided by e^lam.
 
     Inclusive upper index floor(lam + z); direct summation in a window around
-    the mode with negligible truncated mass (relative error well under 1e-9).
+    the mode with negligible truncated mass (relative error about 1e-9 at the
+    1e6 cap, from the rounding of the log of the mode term).
     """
     lam = float(lam)
     if not 0 < lam <= 1e6:
         raise ValueError(f"lam must be in (0, 1e6], got {lam}")
+    if not -math.inf < z < math.inf:
+        raise ValueError(f"z must be finite, got {z}")
     k_top = math.floor(lam + z)
     if k_top < 0:
         return 0.0
@@ -133,8 +146,8 @@ def g_exponent(delta: float) -> float:
 
 def e_factor(loglog_y: float, delta: float) -> float:
     """Correction factor E(y; delta); the argument is loglog y."""
-    if loglog_y <= 0:
-        raise ValueError(f"loglog_y must be > 0, got {loglog_y}")
+    if not 0 < loglog_y < math.inf:
+        raise ValueError(f"loglog_y must be finite and > 0, got {loglog_y}")
     if not 0 < delta <= 1:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     if delta <= 1 / LOG4:
@@ -147,8 +160,8 @@ def main_term(x: float, y: float, delta: float) -> float:
     """Predictor x / (log x)^(1-delta) * (log y)^(-G(delta)) * E(y; delta).
 
     Meaningful for y >= 16 or so; anything with loglog y > 0 is accepted."""
-    if not (x >= y > math.e):
-        raise ValueError(f"need x >= y > e, got x={x}, y={y}")
+    if not (math.inf > x >= y > math.e):
+        raise ValueError(f"need inf > x >= y > e, got x={x}, y={y}")
     ll_y = math.log(math.log(y))
     return (
         x
@@ -182,8 +195,8 @@ def classify_regime(lam: float, v: int, epsilon: float) -> RegimeReport:
     """
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
-    if lam <= 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and > 0, got {lam}")
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     theta = lam - v

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -26,6 +26,49 @@ from multlab.acceptance import (
     _ramanujan_window,
 )
 from multlab.poisson import LOG4
+
+
+def reference_poisson_sum(lam, v):
+    """Sigma(lam, v) by the term-by-term Fraction loop the integer path replaced."""
+    lam_f = Fraction(lam)
+    total = Fraction(0)
+    term = Fraction(1)
+    for k in range(1, v + 1):
+        term = term * lam_f / k
+        total += term * Fraction(v - k + 1, v)
+    return total
+
+
+def reference_key_identity_rhs(lam, v):
+    """The rearrangement by the term-by-term Fraction loop the integer path replaced."""
+    lam_f = Fraction(lam)
+    s = Fraction(0)
+    term = Fraction(1)
+    for k in range(1, v + 1):
+        term = term * lam_f / k
+        s += term
+    return (v - lam_f + 1) / v * s + lam_f / v * (term - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lam=st.one_of(
+        st.integers(0, 10**6),
+        st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**4)),
+    ),
+    v=st.integers(1, 200),
+)
+@example(lam=0, v=1)
+@example(lam=0, v=200)
+@example(lam=Fraction(0), v=7)
+@example(lam=10**6, v=200)
+@example(lam=Fraction(10**6, 9973), v=200)
+def test_exact_paths_match_fraction_reference(lam, v):
+    got_sum = poisson_sum(lam, v)
+    got_rhs = key_identity_rhs(lam, v)
+    assert type(got_sum) is Fraction and type(got_rhs) is Fraction
+    assert got_sum == reference_poisson_sum(lam, v)
+    assert got_rhs == reference_key_identity_rhs(lam, v)
 
 
 def test_poisson_sum_exact_values():
@@ -84,6 +127,12 @@ def test_poisson_sum_validation():
         poisson_sum_log(3.0, 0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+def test_poisson_sum_log_rejects_bad_lambda(lam):
+    with pytest.raises(ValueError, match="lam"):
+        poisson_sum_log(lam, 5)
+
+
 def test_key_identity_example():
     assert key_identity_rhs(3, 2) == Fraction(21, 4)
     assert poisson_sum(3, 2) == Fraction(21, 4)
@@ -106,14 +155,17 @@ def test_key_identity_rejects_inexact_inputs():
 
 
 def test_partial_poisson_matches_scipy():
-    for lam in (0.5, 3.0, 47.2, 1000.0):
-        for z in (-3.0, -0.5, 0.0, 2.7, 31.0):
-            k_top = math.floor(lam + z)
-            if k_top < 0:
-                continue
-            ours = partial_poisson(lam, z)
-            ref = stats.poisson.cdf(k_top, lam)
-            assert ours == pytest.approx(ref, rel=1e-9)
+    cases = [(lam, z) for lam in (0.5, 3.0, 47.2, 1000.0)
+             for z in (-3.0, -0.5, 0.0, 2.7, 31.0)]
+    cases += [(lam, z) for lam in (1e4, 1e5, 1e6)
+              for z in (-3 * math.sqrt(lam), -0.5, 2.7, 3 * math.sqrt(lam))]
+    for lam, z in cases:
+        k_top = math.floor(lam + z)
+        if k_top < 0:
+            continue
+        ours = partial_poisson(lam, z)
+        ref = stats.poisson.cdf(k_top, lam)
+        assert ours == pytest.approx(ref, rel=1e-9)
 
 
 def test_partial_poisson_edges():
@@ -123,6 +175,12 @@ def test_partial_poisson_edges():
         partial_poisson(0.0, 1.0)
     with pytest.raises(ValueError):
         partial_poisson(2e6, 0.0)
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+def test_partial_poisson_rejects_non_finite_z(z):
+    with pytest.raises(ValueError, match="z must be finite"):
+        partial_poisson(3.0, z)
 
 
 def test_partial_poisson_gaussian_limit():
@@ -183,6 +241,12 @@ def test_e_factor_branches():
         e_factor(10.0, 0.0)
 
 
+@pytest.mark.parametrize("loglog_y", [math.nan, math.inf])
+def test_e_factor_rejects_non_finite_loglog_y(loglog_y):
+    with pytest.raises(ValueError, match="loglog_y"):
+        e_factor(loglog_y, 0.5)
+
+
 def test_main_term_closed_form_point():
     x = math.e**math.e
     # loglog y = 1 makes both the G power and E collapse: x * e^{-1}
@@ -191,6 +255,8 @@ def test_main_term_closed_form_point():
         main_term(10.0, 2.0, 0.5)  # y <= e
     with pytest.raises(ValueError):
         main_term(10.0, 20.0, 0.5)  # x < y
+    with pytest.raises(ValueError, match="x="):
+        main_term(math.inf, 20.0, 0.5)  # gave nan
 
 
 def test_classify_regime_examples():
@@ -227,3 +293,9 @@ def test_classify_regime_validation():
         classify_regime(0.0, 5, 0.1)
     with pytest.raises(ValueError):
         classify_regime(10.0, 5, 1.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_classify_regime_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lam"):
+        classify_regime(lam, 5, 0.1)
