@@ -16,7 +16,6 @@ from .divisors import (
     divisors,
     enumerate_sq,
     factorize,
-    in_sq,
     l_measure,
     w_count,
 )

@@ -252,28 +252,33 @@ def _squarefree_count(n: int) -> int:
 
 
 def _crit_lw(ctx: Context) -> tuple[bool, str]:
-    l_of = np.zeros(LW_LIMIT + 1)  # L(a) by a; (ii) reads L(a / P+(a))
+    # L(a) by a, for (ii): a / P+(a) is 1 or, as P+(a) >= 3 once omega >= 2, <= N / 3
+    l_of = np.zeros(LW_LIMIT // 3 + 1)
     checked = 0
+    worst = None  # (a, check) at the smallest violating a, whatever the block order
     for a, primes, la, wa in squarefree_lw(LW_LIMIT):
-        l_of[a] = la
-        omega = len(primes)
+        stored = a <= LW_LIMIT // 3
+        l_of[a[stored]] = la[stored]
+        omega = primes.shape[1]
         tau = 1 << omega
-        if la > min(LOG2 * tau, LOG2 + math.log(a)) + LW_EPS:
-            return False, f"(i) violated at a={a}"
-        if omega >= 1:
-            rest = a // primes[-1]
-            if la > 2.0 * l_of[rest] + LW_EPS:
-                return False, f"(ii) violated at a={a}"
+        log_a = np.fromiter(map(math.log, a.tolist()), np.float64, a.size)
         prefix = 0.0
         best = LOG2 * tau  # j = 0 term
-        for j, p in enumerate(primes, start=1):
-            prefix += math.log(p)
-            best = min(best, 2.0 ** (omega - j) * (prefix + LOG2))
-        if la > best + LW_EPS:
-            return False, f"(iii) violated at a={a}"
-        if la < LOG2 * tau * tau / wa - LW_EPS:
-            return False, f"Cauchy-Schwarz bound violated at a={a}"
-        checked += 1
+        for j in range(1, omega + 1):
+            prefix += np.fromiter(map(math.log, primes[:, j - 1].tolist()), np.float64, a.size)
+            best = np.minimum(best, 2.0 ** (omega - j) * (prefix + LOG2))
+        fails = {
+            "(i)": la > np.minimum(LOG2 * tau, LOG2 + log_a) + LW_EPS,
+            "(ii)": la > 2.0 * (l_of[a // primes[:, -1]] if omega else np.inf) + LW_EPS,
+            "(iii)": la > best + LW_EPS,
+            "Cauchy-Schwarz bound": la < LOG2 * tau * tau / wa - LW_EPS,
+        }
+        bad = np.flatnonzero(np.logical_or.reduce(tuple(fails.values())))
+        if bad.size and (worst is None or a[bad[0]] < worst[0]):
+            worst = int(a[bad[0]]), next(c for c, fail in fails.items() if fail[bad[0]])
+        checked += a.size
+    if worst is not None:
+        return False, f"{worst[1]} violated at a={worst[0]}"
     expected = _squarefree_count(LW_LIMIT)
     if checked != expected:
         return False, f"walked {checked} squarefree a <= {LW_LIMIT}, expected {expected}"

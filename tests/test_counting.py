@@ -18,11 +18,12 @@ from multlab import (
     divisors,
     enumerate_sq,
     factorize,
-    in_sq,
 )
 from multlab.divisors import _smallest_prime_factors, l_measure
 from multlab.experiments import resolve_prime_set
 from multlab.primes import LOG2, PrimeSet, make_prime_set
+
+from conftest import in_sq
 
 
 def brute_hq(ps, x, y, z):

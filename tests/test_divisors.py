@@ -1,5 +1,6 @@
 """Factorizations, S_Q enumeration, the interval system L(a), and W(a)."""
 
+import importlib
 import math
 import random
 
@@ -9,7 +10,6 @@ from multlab import (
     enumerate_sq,
     factorize,
     divisors,
-    in_sq,
     l_measure,
     make_prime_set,
     w_count,
@@ -17,6 +17,8 @@ from multlab import (
 from multlab.divisors import squarefree_lw
 from multlab.experiments import resolve_prime_set
 from multlab.primes import LOG2
+
+from conftest import in_sq
 
 
 def test_factorize_basic():
@@ -162,20 +164,53 @@ def test_cauchy_schwarz_bridge():
         assert LOG2 * tau * tau / w <= l_measure(a) + 1e-9
 
 
-def test_squarefree_lw_matches_trial_division():
-    walked = list(squarefree_lw(10_000))
-    assert [a for a, *_ in walked] == [
-        a for a in range(1, 10_001) if factorize(a).mu_squared
+def _assert_matches_trial_division(n):
+    """Every block of `squarefree_lw(n)` against the per-a reference."""
+    walked = []
+    for a_vals, primes, l_vals, w_vals in squarefree_lw(n):
+        m = a_vals.size
+        assert primes.shape == (m, primes.shape[1]) and l_vals.shape == w_vals.shape == (m,)
+        walked += zip(a_vals.tolist(), primes.tolist(), l_vals.tolist(), w_vals.tolist())
+    assert sorted(a for a, *_ in walked) == [
+        a for a in range(1, n + 1) if factorize(a).mu_squared
     ]
+    # blocks come by ascending omega, and within an omega ascending in a
+    assert [a for a, *_ in walked] == sorted(
+        (a for a, *_ in walked), key=lambda a: (factorize(a).omega, a))
     for a, primes, l_val, w_val in walked:
         assert primes == [p for p, _ in factorize(a).factors], a
-        # the same kernels on the same divisor list: equal bits, not approx
+        # array kernels against the per-a reference loops: equal bits, not approx
         assert l_val == l_measure(a), a
         assert w_val == w_count(a), a
 
 
+def test_squarefree_lw_matches_trial_division():
+    _assert_matches_trial_division(10_000)
+
+
+@pytest.mark.parametrize("cells", [4, 64])
+def test_squarefree_lw_across_row_chunks(monkeypatch, cells):
+    monkeypatch.setattr(importlib.import_module("multlab.divisors"), "_LW_BLOCK_CELLS", cells)
+    omegas = [primes.shape[1] for _, primes, *_ in squarefree_lw(2_000)]
+    assert omegas.count(2) > 1  # the omega = 2 group spans several row chunks
+    _assert_matches_trial_division(2_000)
+
+
+def test_squarefree_lw_first_omega_six():
+    # 30030 = 2*3*5*7*11*13, the first a with omega = 6
+    blocks = list(squarefree_lw(30_030))
+    a_vals, primes, l_vals, w_vals = blocks[-1]
+    assert a_vals.tolist() == [30_030]
+    assert primes.tolist() == [[2, 3, 5, 7, 11, 13]]
+    assert l_vals.tolist() == [l_measure(30_030)]
+    assert w_vals.tolist() == [w_count(30_030)]
+    assert max(b[1].shape[1] for b in squarefree_lw(30_029)) == 5
+
+
 def test_squarefree_lw_edges():
-    assert list(squarefree_lw(1)) == [(1, [], math.log(2), 1)]
+    [(a_vals, primes, l_vals, w_vals)] = squarefree_lw(1)
+    assert a_vals.tolist() == [1] and primes.shape == (1, 0)
+    assert l_vals.tolist() == [math.log(2)] and w_vals.tolist() == [1]
     for n in (0, -5):
         with pytest.raises(ValueError):
             squarefree_lw(n)
