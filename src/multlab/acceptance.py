@@ -420,11 +420,8 @@ def _crit_barrier(ctx: Context) -> tuple[bool, str]:
     specs = [BarrierSpec(cfg["barrier_k"], cfg["barrier_v"], c,
                          cfg["barrier_m_offset"], cfg["barrier_mu"])
              for c in cfg["barrier_c"]]
-    conds = []
-    for spec in specs:
-        _, _, p_cond = barrier_events_mc(spec, BARRIER_SAMPLES, ctx.seed,
-                                         threads=ctx.threads)
-        conds.append(p_cond.estimate)
+    conds = [p_cond.estimate for _, _, p_cond in
+             barrier_events_mc(specs, BARRIER_SAMPLES, ctx.seed, threads=ctx.threads)]
     for lo, hi in zip(conds, conds[1:]):
         if hi < lo:
             return False, f"conditioning not monotone: {conds}"

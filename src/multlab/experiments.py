@@ -17,6 +17,7 @@ import json
 import math
 import resource
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -113,6 +114,15 @@ class _Reporter:
         self.result = ExperimentResult(name, Path(out_dir))
         self.prime_audits: list[dict] = []
         self.files: dict[str, str] = {}
+
+    @contextmanager
+    def section(self, name: str):
+        """Time the body; its {name, elapsed_s} goes to the manifest's
+        summary["sections"], in the order the sections ran."""
+        t0 = time.perf_counter()
+        yield
+        self.result.summary.setdefault("sections", []).append(
+            {"name": name, "elapsed_s": round(time.perf_counter() - t0, 6)})
 
     def add_table(self, stem: str, header: list[str], rows: list[dict]) -> None:
         self.result.tables[stem] = rows
@@ -375,31 +385,34 @@ def run_smirnov(cfg: dict, rep: _Reporter) -> None:
 
     rows = []
     rep.threads_used = rep.threads  # every MC kernel below runs on rep.threads
-    for point, (k, v, u) in enumerate(daniels):
-        exact = float(qk_exact(u, v, k))
-        rows.append({"op": "qk_exact", "k": k, "v": v, "u": u,
-                     "estimate": exact, "std_error": 0.0})
-        est = qk_mc(u, v, k, dn, base_seed + point, threads=rep.threads)
-        rows.append({"op": "qk_mc", "k": k, "v": v, "u": u,
-                     "n": est.n_samples, "estimate": est.estimate,
-                     "std_error": est.std_error, "seed": est.seed})
-
-    for spec in specs:
-        p_b, p_s, p_cond = barrier_events_mc(spec, bn, base_seed, threads=rep.threads)
-        for op, est in (("p_weak", p_b), ("p_strong", p_s), ("p_cond", p_cond)):
-            rows.append({"op": op, "k": bk, "v": bv, "C": spec.c_shift, "mu": bmu,
+    with rep.section("daniels"):
+        for point, (k, v, u) in enumerate(daniels):
+            exact = float(qk_exact(u, v, k))
+            rows.append({"op": "qk_exact", "k": k, "v": v, "u": u,
+                         "estimate": exact, "std_error": 0.0})
+            est = qk_mc(u, v, k, dn, base_seed + point, threads=rep.threads)
+            rows.append({"op": "qk_mc", "k": k, "v": v, "u": u,
                          "n": est.n_samples, "estimate": est.estimate,
                          "std_error": est.std_error, "seed": est.seed})
 
-    for k, vt in yk_points:
-        est = vol_yk_mc(k, vt, yc, ym, yn, base_seed, threads=rep.threads)
-        bound = yk_bound(k, vt)
-        rows.append({"op": "yk_vol", "k": k, "v": vt, "C": yc, "M": ym,
-                     "mu": YK_MU, "n": est.n_samples,
-                     "estimate": est.estimate, "std_error": est.std_error,
-                     "seed": est.seed})
-        rows.append({"op": "yk_bound", "k": k, "v": vt, "C": yc, "M": ym,
-                     "mu": YK_MU, "estimate": bound, "std_error": 0.0})
+    with rep.section("barrier"):
+        estimates = barrier_events_mc(specs, bn, base_seed, threads=rep.threads)
+        for spec, (p_b, p_s, p_cond) in zip(specs, estimates):
+            for op, est in (("p_weak", p_b), ("p_strong", p_s), ("p_cond", p_cond)):
+                rows.append({"op": op, "k": bk, "v": bv, "C": spec.c_shift, "mu": bmu,
+                             "n": est.n_samples, "estimate": est.estimate,
+                             "std_error": est.std_error, "seed": est.seed})
+
+    with rep.section("yk"):
+        for k, vt in yk_points:
+            est = vol_yk_mc(k, vt, yc, ym, yn, base_seed, threads=rep.threads)
+            bound = yk_bound(k, vt)
+            rows.append({"op": "yk_vol", "k": k, "v": vt, "C": yc, "M": ym,
+                         "mu": YK_MU, "n": est.n_samples,
+                         "estimate": est.estimate, "std_error": est.std_error,
+                         "seed": est.seed})
+            rows.append({"op": "yk_bound", "k": k, "v": vt, "C": yc, "M": ym,
+                         "mu": YK_MU, "estimate": bound, "std_error": 0.0})
 
     rep.add_table("smirnov", _SMIRNOV_HEADER, rows)
 

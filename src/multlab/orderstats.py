@@ -4,15 +4,17 @@ Q_k(u, v) = P(xi_i >= (i - u)/v for all i) over the order statistics of k
 uniforms.  Exact values come from the Daniels product formula at u = 1 and
 from Steck's determinant for u < 1; constrained simplex volumes come from a
 recursive polynomial integration.  Monte Carlo estimators cover the barrier
-events, the Y_k region, and the exponential-sum integral U_k.  Their samples
-are sorted by one comparator network (Batcher's odd-even merge sort) run over
-contiguous columns: order statistic j of a block is one contiguous array, so
-each per-coordinate check and the U_k running sum read whole columns.
+events, the Y_k region, and the exponential-sum integral U_k.  They draw and
+sort each block one cache-sized (k, w) tile at a time, by one comparator
+network (Batcher's odd-even merge sort) over whole rows, so order statistic j
+is a contiguous row; each estimator reduces a tile before drawing the next.
+barrier_events_mc tests every barrier of one k against one sorted stream.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,28 +89,33 @@ def _network(k: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _ordered_batch(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """n draws of the k uniform order statistics, one per row.
+def _sorted_tiles(rng: np.random.Generator, n: int, k: int):
+    """Yield (start, tile) for n draws of the k uniform order statistics.
 
-    The draws are rng.random((n, k)), copied tile by tile into a (k, n)
-    C-contiguous buffer whose rows _network(k) sorts one whole row per
-    comparator.  The result is the buffer's (n, k) transpose view: equal to
-    np.sort(draws, axis=1), with each order statistic a contiguous column.
+    The draws are rng.random((n, k)), taken _TILE rows at a time: Philox
+    fills consecutive calls from one stream, so the rows are the same bit for
+    bit.  Each tile is copied into a (k, w) buffer whose rows _network(k)
+    sorts, so tile[:, t] equals np.sort(draws[start + t]) and order
+    statistic j is the contiguous row tile[j].  Both buffers are reused:
+    a tile is valid only until the next one is drawn.
     """
-    draws = rng.random((n, k))
-    buf = np.empty((k, n))
+    width = min(n, _TILE)
+    draws = np.empty((width, k))
+    buf = np.empty((k, width))
+    lo_row = np.empty(width)
     net = _network(k)
-    lo_row = np.empty(min(n, _TILE))
     for start in range(0, n, _TILE):
-        tile = buf[:, start:start + _TILE]
-        tile[...] = draws[start:start + _TILE].T
-        lo = lo_row[:tile.shape[1]]
+        w = min(_TILE, n - start)
+        rng.random(out=draws[:w])
+        tile = buf[:, :w]
+        tile[...] = draws[:w].T
+        lo = lo_row[:w]
         for i, j in net:
             a, b = tile[i], tile[j]
             np.minimum(a, b, out=lo)
             np.maximum(a, b, out=b)
             a[...] = lo
-    return buf.T
+        yield start, tile
 
 
 def _as_fraction(x) -> Fraction:
@@ -220,11 +227,17 @@ def vol_lower_barrier_exact(lower_bounds):
 def qk_mc(u: float, v: float, k: int, n_samples: int, seed: int,
           threads: int = 1) -> McEstimate:
     """Monte Carlo Q_k(u, v) with binomial standard error."""
-    thresholds = (np.arange(1, k + 1) - float(u)) / float(v)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not math.isfinite(u):
+        raise ValueError(f"u must be finite, got {u}")
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"v must be finite and > 0, got {v}")
+    thresholds = ((np.arange(1, k + 1) - float(u)) / float(v))[:, None]
 
     def block(rng, length):
-        s = _ordered_batch(rng, length, k)
-        return int(np.count_nonzero(np.all(s >= thresholds, axis=1)))
+        return sum(int(np.count_nonzero(np.all(tile >= thresholds, axis=0)))
+                   for _, tile in _sorted_tiles(rng, length, k))
 
     hits = sum(run_blocks(n_samples, seed, 101, block, threads))
     return McEstimate.from_hits(hits, n_samples, seed)
@@ -250,32 +263,43 @@ def barrier_thresholds(spec: BarrierSpec) -> tuple[np.ndarray, np.ndarray]:
     return weak, strong
 
 
-def barrier_events_mc(spec: BarrierSpec, n_samples: int, seed: int,
-                      threads: int = 1) -> tuple[McEstimate, McEstimate, McEstimate]:
-    """Estimate P[B], P[B_strong], P[B_strong | B] for the barrier events.
+def barrier_events_mc(specs: Sequence[BarrierSpec], n_samples: int, seed: int,
+                      threads: int = 1) -> list[tuple[McEstimate, McEstimate, McEstimate]]:
+    """Estimate P[B], P[B_strong], P[B_strong | B] for the barrier events of
+    each spec, one triple per spec, in order.
 
+    The specs must share k: every spec is tested against the same sorted
+    stream, so each triple equals that of a call with its spec alone.
     B_strong is computed as B intersected with the shifted barrier, so the
     containment B_strong <= B holds structurally sample by sample.  When no
     sample lands in B the conditional estimate is NaN with n_samples = 0.
     """
-    weak, strong = barrier_thresholds(spec)
+    ks = {spec.k for spec in specs}
+    if len(ks) != 1:
+        raise ValueError(f"need specs that share one k, got k in {sorted(ks)}")
+    (k,) = ks
+    bounds = [(weak[:, None], strong[:, None])
+              for weak, strong in map(barrier_thresholds, specs)]
 
     def block(rng, length):
-        s = _ordered_batch(rng, length, spec.k)
-        in_b = np.all(s >= weak, axis=1)
-        in_strong = in_b & np.all(s >= strong, axis=1)
-        return int(np.count_nonzero(in_b)), int(np.count_nonzero(in_strong))
+        hits = np.zeros((len(specs), 2), dtype=np.int64)
+        for _, tile in _sorted_tiles(rng, length, k):
+            for row, (weak, strong) in zip(hits, bounds):
+                in_b = np.all(tile >= weak, axis=0)
+                row += (np.count_nonzero(in_b),
+                        np.count_nonzero(in_b & np.all(tile >= strong, axis=0)))
+        return hits
 
-    pairs = run_blocks(n_samples, seed, 202, block, threads)
-    b_hits = sum(p[0] for p in pairs)
-    s_hits = sum(p[1] for p in pairs)
-    return (McEstimate.from_hits(b_hits, n_samples, seed),
-            McEstimate.from_hits(s_hits, n_samples, seed),
-            McEstimate.from_hits(s_hits, b_hits, seed))
+    hits = sum(run_blocks(n_samples, seed, 202, block, threads))
+    return [(McEstimate.from_hits(b_hits, n_samples, seed),
+             McEstimate.from_hits(s_hits, n_samples, seed),
+             McEstimate.from_hits(s_hits, b_hits, seed))
+            for b_hits, s_hits in hits.tolist()]
 
 
-def _yk_hits(s: np.ndarray, k: int, v_tilde: float, c_shift: float, m_offset: int) -> np.ndarray:
-    """Which rows of sorted points s lie in the region Y_k(v_tilde, C)?
+def _yk_hits(tile: np.ndarray, k: int, v_tilde: float, c_shift: float,
+             m_offset: int) -> np.ndarray:
+    """Which columns of a sorted (k, w) tile lie in the region Y_k(v_tilde, C)?
 
     Conditions: (ii) xi_{M+i^2} > i/v and xi_{k+1-(M+i^2)} < 1 - i/v for
     1 <= i <= floor(sqrt(k - M)) (empty when k <= M); (iii) the strong lower
@@ -283,12 +307,12 @@ def _yk_hits(s: np.ndarray, k: int, v_tilde: float, c_shift: float, m_offset: in
     """
     i, bump = _barrier_bump(k, YK_MU)
     lower = np.maximum(i - 1.0, i + bump - c_shift) / v_tilde
-    ok = np.all(s >= lower, axis=1)
+    ok = np.all(tile >= lower[:, None], axis=0)
     top = int(math.isqrt(k - m_offset)) if k > m_offset else 0
     for ii in range(1, top + 1):
         idx = m_offset + ii * ii  # 1-based, <= k by construction
-        ok &= s[:, idx - 1] > ii / v_tilde
-        ok &= s[:, k - idx] < 1.0 - ii / v_tilde
+        ok &= tile[idx - 1] > ii / v_tilde
+        ok &= tile[k - idx] < 1.0 - ii / v_tilde
     return ok
 
 
@@ -300,14 +324,16 @@ def yk_bound(k: int, v_tilde: float) -> float:
 def vol_yk_mc(k: int, v_tilde: float, c_shift: float, m_offset: int,
               n_samples: int, seed: int, threads: int = 1) -> McEstimate:
     """Volume of Y_k(v_tilde, C): hit fraction of sorted samples over k!."""
+    if not math.isfinite(v_tilde):
+        raise ValueError(f"v_tilde must be finite, got {v_tilde}")
     if not 1 <= k <= math.ceil(v_tilde):
         raise ValueError(f"need 1 <= k <= ceil(v_tilde), got k={k}, v_tilde={v_tilde}")
     if m_offset < 0:
         raise ValueError(f"m_offset must be >= 0, got {m_offset}")
 
     def block(rng, length):
-        s = _ordered_batch(rng, length, k)
-        return int(np.count_nonzero(_yk_hits(s, k, v_tilde, c_shift, m_offset)))
+        return sum(int(np.count_nonzero(_yk_hits(tile, k, v_tilde, c_shift, m_offset)))
+                   for _, tile in _sorted_tiles(rng, length, k))
 
     hits = sum(run_blocks(n_samples, seed, 303, block, threads))
     return McEstimate.from_hits(hits, n_samples, seed, k)
@@ -316,25 +342,26 @@ def vol_yk_mc(k: int, v_tilde: float, c_shift: float, m_offset: int,
 _LOG_DOMAIN_V = 500.0
 
 
-def _uk_integrand(s: np.ndarray, k: int, v: float) -> np.ndarray:
-    """min over 0 <= j <= k of 2^-j (2^(v xi_1) + ... + 2^(v xi_j) + 1).
+def _uk_integrand(tile: np.ndarray, k: int, v: float) -> np.ndarray:
+    """min over 0 <= j <= k of 2^-j (2^(v xi_1) + ... + 2^(v xi_j) + 1), for
+    each column of a sorted (k, w) tile.
 
-    One pass over the columns of s keeps the partial sum S_j and the running
-    minimum; the j = 0 term is exactly 1.
+    One pass over the rows of the tile keeps the partial sum S_j and the
+    running minimum; the j = 0 term is exactly 1.
     """
-    cols = v * s.T
+    cols = v * tile
     if v <= _LOG_DOMAIN_V:
         pw = np.exp2(cols)
         weights = np.exp2(-np.arange(k + 1, dtype=np.float64))
-        partial = np.zeros(s.shape[0])
-        best = np.ones(s.shape[0])
+        partial = np.zeros(tile.shape[1])
+        best = np.ones(tile.shape[1])
         for j in range(k):
             partial += pw[j]
             np.minimum(best, (partial + 1.0) * weights[j + 1], out=best)
         return best
     # log2-domain: S_j tracked as log2 of the partial sum
     log_partial = cols[0]
-    best = np.zeros(s.shape[0])  # j = 0 gives exactly 1
+    best = np.zeros(tile.shape[1])  # j = 0 gives exactly 1
     for j in range(k):
         if j:
             log_partial = np.logaddexp2(log_partial, cols[j])
@@ -349,9 +376,14 @@ def uk_mc(k: int, v: float, n_samples: int, seed: int, threads: int = 1) -> McEs
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if not math.isfinite(v):
+        raise ValueError(f"v must be finite, got {v}")
 
     def block(rng, length):
-        vals = _uk_integrand(_ordered_batch(rng, length, k), k, v)
+        # one sum per block, so the float sums do not depend on _TILE
+        vals = np.empty(length)
+        for start, tile in _sorted_tiles(rng, length, k):
+            vals[start:start + tile.shape[1]] = _uk_integrand(tile, k, v)
         return float(vals.sum()), float(np.square(vals).sum()), length
 
     parts = run_blocks(n_samples, seed, 404, block, threads)

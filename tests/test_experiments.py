@@ -75,6 +75,18 @@ def test_aq_dichotomy_manifest_records_count_aq_timing(tmp_path):
     assert "elapsed" not in header and "method" not in header
 
 
+def test_smirnov_manifest_records_sections(tmp_path):
+    res = run_experiment("smirnov", dict(DETERMINISM_CONFIGS["smirnov"]), tmp_path)
+    manifest = json.loads(res.manifest_path.read_text())
+    sections = manifest["summary"]["sections"]
+    assert [s["name"] for s in sections] == ["daniels", "barrier", "yk"]
+    assert all(s["elapsed_s"] >= 0 for s in sections)
+    # the sections run one after another inside the manifest's clock
+    assert sum(s["elapsed_s"] for s in sections) <= manifest["elapsed_seconds"]
+    header = (tmp_path / "smirnov.csv").read_text().splitlines()[0]
+    assert "elapsed" not in header
+
+
 def test_aq_dichotomy_rejects_n_above_cap(tmp_path):
     with pytest.raises(ConfigError, match="capped"):
         run_experiment("aq-dichotomy", {"n_grid": [MAX_N_AQ + 1]}, tmp_path)

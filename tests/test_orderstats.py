@@ -3,6 +3,7 @@ values, the recursive simplex volume, and the Monte Carlo estimators."""
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,16 +21,19 @@ from multlab import (
     vol_yk_mc,
 )
 from multlab.orderstats import (
+    _TILE,
     _network,
-    _ordered_batch,
+    _sorted_tiles,
     _steck_determinant,
     _uk_integrand,
     _yk_hits,
     barrier_thresholds,
 )
-from multlab.rng import block_generator
+from multlab.rng import BLOCK, block_generator
 
 SEED = 1234
+# two full blocks, the second ending one tile and 7 samples past its start
+N_PAST_TILE = BLOCK + _TILE + 7
 
 
 def test_qk_exact_daniels_product():
@@ -104,11 +108,22 @@ def test_vol_lower_barrier_validation():
         vol_lower_barrier_exact([Fraction(5, 4)])
 
 
+def _tiles_as_rows(tiles, n, k):
+    """The (n, k) rows of the tiles of one stream, checking their layout."""
+    rows = []
+    for start, tile in tiles:
+        assert start == len(rows) * _TILE
+        assert tile.shape == (k, min(_TILE, n - start))
+        rows.append(tile.T.copy())  # the next tile reuses the buffer
+    assert len(rows) == -(-n // _TILE)
+    return np.concatenate(rows) if rows else np.empty((0, k))
+
+
 def test_sample_ordered_uniforms():
     # the one sampler behind every MC estimator: sorted rows in [0, 1)
     rng = np.random.default_rng(0)
     k = 8
-    s = _ordered_batch(rng, 20_000, k)
+    s = _tiles_as_rows(_sorted_tiles(rng, 20_000, k), 20_000, k)
     assert s.shape == (20_000, k)
     assert np.all(np.diff(s, axis=1) >= 0)
     assert np.all((0 <= s) & (s < 1))
@@ -117,17 +132,30 @@ def test_sample_ordered_uniforms():
     j = np.arange(1, k + 1)
     se = np.sqrt(j * (k + 1 - j) / ((k + 1) ** 2 * (k + 2)) / len(s))
     assert np.all(np.abs(s.mean(axis=0) - j / (k + 1)) <= 5 * se)
-    assert _ordered_batch(rng, 0, 3).shape == (0, 3)
+    assert list(_sorted_tiles(rng, 0, 3)) == []
 
 
-@pytest.mark.parametrize("n", (0, 1, 5, 20_000, 65_536))
+@pytest.mark.parametrize("n", (0, 1, 5, _TILE - 1, _TILE, _TILE + 1, 20_000, 65_536))
 def test_ordered_batch_equals_row_sort(n):
-    # two generators from one seed: the network must return np.sort's rows;
-    # n = 20,000 ends on a partial tile
+    # two generators from one seed: the tiles must hold np.sort's rows of
+    # one rng.random((n, k)) call; n = 20,000 ends on a partial tile
     for k in range(1, 25):
-        s = _ordered_batch(block_generator(SEED, 5, k), n, k)
+        s = _tiles_as_rows(_sorted_tiles(block_generator(SEED, 5, k), n, k), n, k)
         expected = np.sort(block_generator(SEED, 5, k).random((n, k)), axis=1)
         assert np.array_equal(s, expected)
+
+
+def test_sorted_tiles_interleaved_streams():
+    # each generator keeps its own buffers, as concurrent blocks need
+    n = 3 * _TILE + 5
+    streams = {(6, 5): [], (7, 20): []}
+    gens = {key: _sorted_tiles(block_generator(SEED, *key), n, key[1]) for key in streams}
+    for step in zip(*gens.values()):
+        for key, (start, tile) in zip(streams, step):
+            streams[key].append((start, tile.copy()))
+    for (stream, k), tiles in streams.items():
+        expected = np.sort(block_generator(SEED, stream, k).random((n, k)), axis=1)
+        assert np.array_equal(_tiles_as_rows(tiles, n, k), expected)
 
 
 @pytest.mark.parametrize("k", range(1, 17))
@@ -156,9 +184,40 @@ def _uk_integrand_row_wise(s, k, v):
 
 @pytest.mark.parametrize("v", (8.0, 600.0))
 def test_uk_integrand_matches_row_wise_formula(v):
+    # 10,000 samples: one full tile and a partial one
     for k in (1, 2, 5, 8, 12):
-        s = _ordered_batch(block_generator(SEED, 6, k), 10_000, k)
-        assert np.array_equal(_uk_integrand(s, k, v), _uk_integrand_row_wise(s, k, v))
+        for _, tile in _sorted_tiles(block_generator(SEED, 6, k), 10_000, k):
+            assert np.array_equal(_uk_integrand(tile, k, v),
+                                  _uk_integrand_row_wise(tile.T, k, v))
+
+
+@pytest.mark.parametrize("u, v, k", [
+    (1.0, 5.0, 0),  # no order statistics: was a sure 1.0
+    (1.0, -1.0, 3),  # negative v: was 1.0
+    (1.0, 0.0, 3),  # was 0.0 with a division warning
+    (math.nan, 5.0, 3),  # was 0.0
+    (math.inf, 5.0, 3),
+    (1.0, math.nan, 3),
+    (1.0, math.inf, 3),
+])
+def test_qk_mc_rejects_bad_input(u, v, k):
+    with pytest.raises(ValueError):
+        qk_mc(u, v, k, 100, SEED)
+
+
+@pytest.mark.parametrize("v", (23.0, 700.0))
+def test_uk_mc_sums_each_block_once(v):
+    # the estimator's floats, rebuilt from np.sort of each block's draws: one
+    # pairwise sum per block, then fsum over blocks; a per-tile sum differs
+    k = 20
+    vals = [_uk_integrand_row_wise(np.sort(block_generator(SEED, 404, b).random((m, k)),
+                                           axis=1), k, v)
+            for b, m in enumerate((BLOCK, N_PAST_TILE - BLOCK))]
+    mean = math.fsum(float(x.sum()) for x in vals) / N_PAST_TILE
+    var = max(math.fsum(float(np.square(x).sum()) for x in vals) / N_PAST_TILE - mean**2, 0.0)
+    kfac = float(math.factorial(k))
+    est = uk_mc(k, v, N_PAST_TILE, SEED)
+    assert (est.estimate, est.std_error) == (mean / kfac, math.sqrt(var / N_PAST_TILE) / kfac)
 
 
 def test_qk_mc_matches_exact():
@@ -182,15 +241,45 @@ def test_mc_thread_invariance():
     y3 = vol_yk_mc(4, 6.0, 3.0, 0, 80_000, SEED, threads=3)
     assert y1.estimate == y3.estimate
 
+    # blocks that end inside a tile, sorted concurrently
+    for run in (lambda t: vol_yk_mc(12, 14.0, 3.0, 1, N_PAST_TILE, SEED, threads=t),
+                lambda t: uk_mc(12, 14.0, N_PAST_TILE, SEED, threads=t)):
+        a, b = run(1), run(3)
+        assert (a.estimate, a.std_error, a.hits) == (b.estimate, b.std_error, b.hits)
+
 
 def test_barrier_events_thread_invariance():
     # k = 20 runs the largest comparator network any experiment uses
     spec = BarrierSpec(20, 20.0, 1.5, 0, 1.0 / 7.0)
-    single = barrier_events_mc(spec, 150_000, SEED, threads=1)
-    multi = barrier_events_mc(spec, 150_000, SEED, threads=3)
+    (single,) = barrier_events_mc([spec], 150_000, SEED, threads=1)
+    (multi,) = barrier_events_mc([spec], 150_000, SEED, threads=3)
     for a, b in zip(single, multi):
         assert (a.estimate, a.std_error, a.hits) == (b.estimate, b.std_error, b.hits)
     assert single[0].hits > 0
+
+
+@pytest.mark.parametrize("threads", (1, 3))
+def test_barrier_events_shared_stream_equals_one_spec_calls(threads):
+    # the specs differ in v (so in the weak barrier), C and mu, not in k
+    specs = [BarrierSpec(8, v, c, 0, mu) for v, c, mu in
+             ((8.0, 0.5, 1.0 / 7.0), (9.0, 1.0, 0.2), (10.0, 2.0, 1.0 / 7.0),
+              (12.0, 40.0, 1.0 / 7.0))]
+    shared = barrier_events_mc(specs, N_PAST_TILE, SEED, threads=threads)
+    assert len(shared) == len(specs)
+    for spec, triple in zip(specs, shared):
+        (alone,) = barrier_events_mc([spec], N_PAST_TILE, SEED)
+        assert triple[0].hits > 0
+        for a, b in zip(triple, alone):
+            assert (a.estimate, a.std_error, a.hits, a.n_samples) == \
+                (b.estimate, b.std_error, b.hits, b.n_samples)
+
+
+def test_barrier_events_specs_must_share_k():
+    mixed = [BarrierSpec(4, 8.0, 1.0, 0, 1.0 / 7.0), BarrierSpec(5, 8.0, 1.0, 0, 1.0 / 7.0)]
+    with pytest.raises(ValueError, match="share one k"):
+        barrier_events_mc(mixed, 100, SEED)
+    with pytest.raises(ValueError):
+        barrier_events_mc([], 100, SEED)
 
 
 def test_barrier_thresholds_shape():
@@ -204,7 +293,7 @@ def test_barrier_thresholds_shape():
 
 def test_barrier_events_containment_and_conditional():
     spec = BarrierSpec(8, 12.0, 2.0, 0, 1.0 / 7.0)
-    p_b, p_s, cond = barrier_events_mc(spec, 100_000, SEED)
+    ((p_b, p_s, cond),) = barrier_events_mc([spec], 100_000, SEED)
     assert p_s.hits <= p_b.hits
     assert 0.0 < p_s.estimate <= p_b.estimate
     assert cond.estimate == pytest.approx(p_s.hits / p_b.hits)
@@ -214,7 +303,7 @@ def test_barrier_events_containment_and_conditional():
 def test_barrier_events_large_shift_collapses():
     # C >= k pushes the strong barrier down to the weak one exactly
     spec = BarrierSpec(8, 12.0, 40.0, 0, 1.0 / 7.0)
-    p_b, p_s, cond = barrier_events_mc(spec, 50_000, SEED)
+    ((p_b, p_s, cond),) = barrier_events_mc([spec], 50_000, SEED)
     assert p_b.hits == p_s.hits
     assert cond.estimate == 1.0
 
@@ -222,7 +311,7 @@ def test_barrier_events_large_shift_collapses():
 def test_barrier_events_empty_conditional():
     # k = ceil(v) with w = u + v - k tiny: P(B) ~ 2e-3, so 4 samples miss
     spec = BarrierSpec(21, 20.05, 1.0, 0, 1.0 / 7.0)
-    p_b, p_s, cond = barrier_events_mc(spec, 4, SEED)
+    ((p_b, p_s, cond),) = barrier_events_mc([spec], 4, SEED)
     assert p_b.hits == 0
     assert math.isnan(cond.estimate)
     assert cond.n_samples == 0
@@ -270,6 +359,9 @@ def test_vol_yk_monotone_in_c():
 def test_vol_yk_validation():
     with pytest.raises(ValueError):
         vol_yk_mc(9, 8.0, 2.0, 0, 1000, SEED)  # k > ceil(v)
+    for v_tilde in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="v_tilde"):
+            vol_yk_mc(3, v_tilde, 2.0, 0, 1000, SEED)
 
 
 def test_strong_barrier_geometric_sum():
@@ -277,7 +369,7 @@ def test_strong_barrier_geometric_sum():
     k, v_tilde, c_shift, m_offset = 12, 12.5, 6.0, 2
     rng = block_generator(SEED, 77, 0)
     s = np.sort(rng.random((20_000, k)), axis=1)
-    hits = _yk_hits(s, k, v_tilde, c_shift, m_offset)
+    hits = _yk_hits(s.T, k, v_tilde, c_shift, m_offset)
     assert hits.any()
     i = np.arange(1, k + 1, dtype=np.float64)
     lhs = np.exp2(i - v_tilde * s[hits]).sum(axis=1)
@@ -307,6 +399,9 @@ def test_uk_log_domain_continuity():
     assert abs(a.estimate - b.estimate) <= 1e-9
     with pytest.raises(ValueError):
         uk_mc(0, 10.0, 100, SEED)
+    for v in (math.nan, math.inf, -math.inf):  # nan gave a nan estimate
+        with pytest.raises(ValueError, match="v must be finite"):
+            uk_mc(2, v, 100, SEED)
 
 
 def test_t_region_and_uk_match_golden_values():
@@ -314,3 +409,22 @@ def test_t_region_and_uk_match_golden_values():
     u = uk_mc(4, 6.0, 30_000, 5)
     assert (u.estimate, u.std_error, u.hits) == (
         0.04074174665313703, 1.7584932841210564e-05, 30_000)
+
+
+def test_mc_blocks_peak_memory():
+    # a block is drawn and sorted one tile at a time, so its peak is a few
+    # (k, _TILE) buffers, not the (n, k) draws of a whole block (20 MiB at
+    # k = 20)
+    specs = [BarrierSpec(20, 20.0, 1.5, 0, 1.0 / 7.0)]
+    barrier_events_mc(specs, 10, SEED)  # first-call imports are not the kernel's
+    tracemalloc.start()
+    try:
+        barrier_events_mc(specs, 200_000, SEED)
+        barrier_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        uk_mc(12, 15.0, 100_000, SEED)
+        uk_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert barrier_peak < 4 << 20, barrier_peak
+    assert uk_peak < 6 << 20, uk_peak
