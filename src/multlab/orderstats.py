@@ -57,10 +57,12 @@ class BarrierSpec:
     mu_exponent: float
 
     def __post_init__(self):
+        if not math.isfinite(self.v):
+            raise ValueError(f"v must be finite, got {self.v}")
         if not 1 <= self.k <= math.ceil(self.v):
             raise ValueError(f"need 1 <= k <= ceil(v), got k={self.k}, v={self.v}")
-        if self.c_shift <= 0:
-            raise ValueError(f"c_shift must be > 0, got {self.c_shift}")
+        if not 0 < self.c_shift < math.inf:
+            raise ValueError(f"c_shift must be finite and > 0, got {self.c_shift}")
         if self.m_offset < 0:
             raise ValueError(f"m_offset must be >= 0, got {self.m_offset}")
         if not 0 < self.mu_exponent < 0.5:
@@ -326,6 +328,8 @@ def vol_yk_mc(k: int, v_tilde: float, c_shift: float, m_offset: int,
     """Volume of Y_k(v_tilde, C): hit fraction of sorted samples over k!."""
     if not math.isfinite(v_tilde):
         raise ValueError(f"v_tilde must be finite, got {v_tilde}")
+    if not math.isfinite(c_shift):
+        raise ValueError(f"c_shift must be finite, got {c_shift}")
     if not 1 <= k <= math.ceil(v_tilde):
         raise ValueError(f"need 1 <= k <= ceil(v_tilde), got k={k}, v_tilde={v_tilde}")
     if m_offset < 0:

@@ -23,6 +23,7 @@ MAX_X_BITMAP = 1 << 31
 # the primes below 2^16, so phi(modulus) costs one pass over that table at most
 MAX_MODULUS = 1 << 32
 SIEVE_SEGMENT = 1 << 20  # odd numbers per segment of sieve_primes
+MERTENS_BLOCK = 1 << 15  # members per block of mertens_sum
 
 _MASK64 = (1 << 64) - 1
 
@@ -87,6 +88,9 @@ class PrimeSet:
     delta: float
     members: np.ndarray  # ascending int64
     params: dict = field(default_factory=dict)
+    # the primes <= limit outside Q, set by make_prime_set from its own sieve
+    # and dropped once sq_bitmap has cleared their multiples
+    _excluded: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def descriptor(self) -> dict:
         """JSON-safe summary used in manifests and count results."""
@@ -105,23 +109,28 @@ class PrimeSet:
 
         Built once per set, on first use, by clearing multiples of the primes
         *outside* Q (complement sieve): strided per prime up to sqrt(limit),
-        per cofactor beyond it.
+        per cofactor beyond it.  A set from make_prime_set takes those primes
+        from the sieve that built it, so it is never sieved again; a set built
+        by hand sieves to its limit here and checks that its members are
+        primes.
         """
         x = int(self.limit)
         if x > MAX_X_BITMAP:
             raise ValueError(f"limit = {x} beyond bitmap cap {MAX_X_BITMAP}")
         bm = np.ones(x + 1, dtype=bool)
         bm[0] = False
+        excluded, self._excluded = self._excluded, None
         if self.kind != "all" and x >= 2:
-            primes = sieve_primes(x)
-            members = self.members[: np.searchsorted(self.members, x, side="right")]
-            at = np.minimum(np.searchsorted(primes, members), len(primes) - 1)
-            if not np.array_equal(primes[at], members):
-                raise ValueError("prime set members are not primes")
-            outside = np.ones(len(primes), dtype=bool)
-            outside[at] = False
-            excluded = primes[outside]
-            del primes, members, at, outside
+            if excluded is None:  # built by hand: nothing vouches for the members
+                primes = sieve_primes(x)
+                members = self.members[: np.searchsorted(self.members, x, side="right")]
+                at = np.minimum(np.searchsorted(primes, members), len(primes) - 1)
+                if not np.array_equal(primes[at], members):
+                    raise ValueError("prime set members are not primes")
+                outside = np.ones(len(primes), dtype=bool)
+                outside[at] = False
+                excluded = primes[outside]
+                del primes, members, at, outside
             split = int(np.searchsorted(excluded, math.isqrt(x), side="right"))
             for p in excluded[:split].tolist():
                 bm[p::p] = False
@@ -168,13 +177,15 @@ def make_prime_set(
                 raise ValueError(f"residue {a} is not coprime to modulus {m}")
         from .divisors import factorize  # divisors imports this module
         phi = math.prod((p - 1) * p ** (e - 1) for p, e in factorize(m).factors)
-        keep = np.isin(primes % m, np.array(rset))
+        # "sort" compares residue by residue when there are few of them
+        keep = np.isin(primes % m, np.array(rset), kind="sort")
         return PrimeSet(
             "congruence",
             limit,
             len(rset) / phi,
             primes[keep],
             {"modulus": m, "residues": rset},
+            primes[~keep],
         )
     if kind == "thinned":
         if target_density is None or not (0.0 < target_density <= 1.0):
@@ -189,6 +200,7 @@ def make_prime_set(
             float(target_density),
             primes[keep],
             {"target_density": float(target_density), "seed": int(seed)},
+            primes[~keep],
         )
     raise ValueError(f"unknown prime set kind: {kind!r}")
 
@@ -201,11 +213,32 @@ def pi_q(ps: PrimeSet, x: float) -> int:
 
 
 def mertens_sum(ps: PrimeSet, x: float) -> float:
-    """Sum of 1/p over members p <= x, compensated (exactly rounded)."""
+    """Sum of 1/p over members p <= x, exactly rounded: the float that
+    math.fsum gives, without a Python loop over members.
+
+    np.frexp writes each 1/p as M * 2^(e - 53) with an integer M < 2^53.
+    1/p does not increase along the ascending members, so each exponent e is
+    one run of them; np.add.reduceat sums M over each run in two 26-bit halves,
+    so no int64 sum overflows.  The runs add up to one Python int over a power
+    of two, and CPython rounds that int division correctly.  Members are taken
+    MERTENS_BLOCK at a time, so the temporaries stay small.
+    """
     if not 2 <= x <= ps.limit:
         raise ValueError(f"mertens_sum asked at x={x} outside materialized range [2, {ps.limit}]")
     n = bisect_right(ps.members, x)
-    return math.fsum(1.0 / ps.members[:n].astype(np.float64))
+    if n == 0:
+        return 0.0
+    low = math.frexp(1.0 / float(ps.members[n - 1]))[1]  # the smallest exponent
+    num = 0
+    for start in range(0, n, MERTENS_BLOCK):
+        frac, exp = np.frexp(1.0 / ps.members[start : min(start + MERTENS_BLOCK, n)])
+        mant = np.ldexp(frac, 53).astype(np.int64)
+        runs = np.flatnonzero(np.diff(exp, prepend=exp[0] - 1))
+        his = np.add.reduceat(mant >> 26, runs).tolist()
+        los = np.add.reduceat(mant & ((1 << 26) - 1), runs).tolist()
+        for hi, lo, e in zip(his, los, exp[runs].tolist()):
+            num += ((hi << 26) + lo) << (e - low)
+    return num / (1 << (53 - low))
 
 
 @dataclass

@@ -5,10 +5,14 @@ here loosens on failure.  A criterion that fails shows up red, with its
 details line in the assertion message.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from multlab import acceptance
+from multlab.orderstats import BarrierSpec, barrier_events_mc
+from multlab.rng import block_generator
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +53,47 @@ def test_lw_names_the_smallest_violating_a(ctx, monkeypatch):
 
     monkeypatch.setattr(acceptance, "squarefree_lw", tripled)
     assert acceptance._crit_lw(ctx) == (False, "(i) violated at a=30")
+
+
+def test_barrier_peak_memory_and_details(ctx):
+    # the containment check draws and sorts CONTAINMENT_CHUNK rows at a time,
+    # not its 100000 x 20 samples in one piece (30.5 MiB traced); the first
+    # call's lazy imports stay out of the peak
+    barrier_events_mc([BarrierSpec(20, 20.0, 1.5, 0, 1.0 / 7.0)], 10, ctx.seed)
+    tracemalloc.start()
+    try:
+        result = acceptance._crit_barrier(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert result == (True, "C=5: 1.0000, C=10: 1.0000, C=20: 1.0000, C=40: 1.0000; "
+                            "containment exact on 100000 samples")
+
+
+class _RecordingGenerator:
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def random(self, *, out):
+        self.rng.random(out=out)
+        self.draws.append(out.copy())
+
+
+def test_barrier_containment_checks_the_one_piece_stream(ctx, monkeypatch):
+    rec = _RecordingGenerator(block_generator(ctx.seed, 909, 0))
+    monkeypatch.setattr(acceptance, "BARRIER_SAMPLES", 20_000)
+    monkeypatch.setattr(acceptance, "block_generator", lambda *args: rec)
+    assert acceptance._crit_barrier(ctx)[0]
+    one_piece = block_generator(ctx.seed, 909, 0).random((acceptance.CONTAINMENT_SAMPLES, 20))
+    assert np.array_equal(np.concatenate(rec.draws), one_piece)
+
+
+def test_barrier_containment_sees_a_violation(ctx, monkeypatch):
+    # a strong barrier one below the weak one holds on samples outside B
+    thresholds = acceptance.barrier_thresholds
+    monkeypatch.setattr(acceptance, "BARRIER_SAMPLES", 20_000)
+    monkeypatch.setattr(acceptance, "barrier_thresholds",
+                        lambda spec: (thresholds(spec)[0], thresholds(spec)[0] - 1.0))
+    assert acceptance._crit_barrier(ctx) == (
+        False, "containment violated: strong event outside weak event")

@@ -323,6 +323,18 @@ def test_sq_bitmap_matches_in_sq(desc):
         assert bm.tolist() == expected[: x + 1], x
 
 
+@pytest.mark.parametrize("desc", BITMAP_SETS)
+def test_sq_bitmap_from_the_constructor_sieve_matches_a_fresh_sieve(desc):
+    # make_prime_set hands its bitmap the primes it left out of Q; a set built
+    # by hand with the same members sieves them again
+    for x in BITMAP_XS:
+        if x >= 2:  # a prime set needs limit >= 2
+            ps = resolve_prime_set(desc, x)
+            by_hand = PrimeSet(ps.kind, ps.limit, ps.delta, ps.members.copy(), ps.params)
+            assert by_hand._excluded is None
+            assert np.array_equal(ps.sq_bitmap, by_hand.sq_bitmap), x
+
+
 def test_sq_bitmap_rejects_non_prime_members():
     bogus = PrimeSet("congruence", 100, 0.5, np.array([3, 9, 11], dtype=np.int64),
                      {"modulus": 2, "residues": [1]})

@@ -332,6 +332,18 @@ def test_barrier_spec_validation():
             BarrierSpec(**{**good, field: bad})
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("c_shift", math.nan),  # nan <= 0 is false: P[B_strong] read 0 without error
+    ("c_shift", math.inf),
+    ("v", math.inf),  # math.ceil raised OverflowError
+    ("v", math.nan),
+])
+def test_barrier_spec_rejects_non_finite(field, bad):
+    good = dict(k=4, v=8.0, c_shift=1.0, m_offset=0, mu_exponent=1.0 / 7.0)
+    with pytest.raises(ValueError, match=field):
+        BarrierSpec(**{**good, field: bad})
+
+
 def test_yk_hits_interval_for_k1():
     def member(xi, m_offset):
         return bool(_yk_hits(np.array([xi]), 1, 5.0, 2.0, m_offset)[0])
@@ -362,6 +374,9 @@ def test_vol_yk_validation():
     for v_tilde in (math.inf, math.nan):
         with pytest.raises(ValueError, match="v_tilde"):
             vol_yk_mc(3, v_tilde, 2.0, 0, 1000, SEED)
+    for c_shift in (math.inf, math.nan):  # nan counted 0 hits without error
+        with pytest.raises(ValueError, match="c_shift"):
+            vol_yk_mc(3, 4.0, c_shift, 0, 1000, SEED)
 
 
 def test_strong_barrier_geometric_sum():

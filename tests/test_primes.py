@@ -13,7 +13,7 @@ from multlab import (
     sieve_primes,
 )
 from multlab import primes
-from multlab.experiments import AUDIT_GRID_POINTS, audit_summary
+from multlab.experiments import AUDIT_GRID_POINTS, audit_summary, resolve_prime_set
 
 
 def primes_by_trial_division(limit):
@@ -149,3 +149,62 @@ def test_mertens_sum_exact_prefix(ps_all):
     )
     vals = [mertens_sum(ps_all, x) for x in (10, 100, 1000, 10_000)]
     assert vals == sorted(vals)
+
+
+MERTENS_LIMIT = 10**6
+# (kappa_hat, mertens_constant_hat) of audit_summary at MERTENS_LIMIT, as
+# math.fsum summed the reciprocals
+AUDITS = {
+    "all": (1.2098781163776184, 0.261536185091662),
+    "congruence:4:1": (0.5776514828170577, -0.2867214775975617),
+    "congruence:8:1+3": (0.5842807703062539, -0.12403932386422989),
+    "thinned:0.4:7": (0.670369654971527, 0.2357307135852793),
+}
+
+
+@pytest.mark.parametrize("desc", AUDITS)
+def test_mertens_sum_equals_fsum_bit_for_bit(desc):
+    ps = resolve_prime_set(desc, MERTENS_LIMIT)
+    members = ps.members
+    first = int(members[0])
+    xs = [2, 3, first - 1, MERTENS_LIMIT]
+    xs += [1 << j for j in range(1, MERTENS_LIMIT.bit_length())]
+    for x in (x for x in xs if x >= 2):
+        n = int(np.searchsorted(members, x, side="right"))
+        got = mertens_sum(ps, x)
+        assert got == math.fsum(1.0 / members[:n].astype(np.float64)), x
+        if x < first:
+            assert got == 0.0 and type(got) is float, x
+
+
+def test_mertens_blocks_are_invisible(ps_thinned, monkeypatch):
+    ref = [mertens_sum(ps_thinned, x) for x in (2, 1000, 65536, ps_thinned.limit)]
+    for block in (1, 7, 1000):
+        monkeypatch.setattr(primes, "MERTENS_BLOCK", block)
+        assert [mertens_sum(ps_thinned, x) for x in (2, 1000, 65536, ps_thinned.limit)] == ref
+
+
+@pytest.mark.parametrize("desc", AUDITS)
+def test_audit_summary_keeps_its_values(desc):
+    row = audit_summary(resolve_prime_set(desc, MERTENS_LIMIT))
+    assert (row["kappa_hat"], row["mertens_constant_hat"]) == AUDITS[desc]
+
+
+@pytest.mark.parametrize("desc", ("congruence:4:1", "thinned:0.4:7"))
+def test_prime_set_and_its_bitmap_sieve_once(desc, monkeypatch):
+    calls = []
+    sieve = primes.sieve_primes
+
+    def counted(limit):
+        calls.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(primes, "sieve_primes", counted)
+    ps = resolve_prime_set(desc, 10**4)
+    assert ps.sq_bitmap[1]
+    assert calls == [10**4]
+    assert ps._excluded is None  # dropped once the bitmap is built
+    # nothing vouches for the members of a set built by hand: it sieves
+    by_hand = primes.PrimeSet(ps.kind, ps.limit, ps.delta, ps.members, ps.params)
+    assert by_hand.sq_bitmap[1]
+    assert calls == [10**4, 10**4]
