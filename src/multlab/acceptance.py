@@ -419,8 +419,7 @@ def _crit_gaussian(ctx: Context) -> tuple[bool, str]:
 
 def _crit_barrier(ctx: Context) -> tuple[bool, str]:
     cfg = SMIRNOV_DEFAULTS
-    specs = [BarrierSpec(cfg["barrier_k"], cfg["barrier_v"], c,
-                         cfg["barrier_m_offset"], cfg["barrier_mu"])
+    specs = [BarrierSpec(cfg["barrier_k"], cfg["barrier_v"], c, cfg["barrier_mu"])
              for c in cfg["barrier_c"]]
     conds = [p_cond.estimate for _, _, p_cond in
              barrier_events_mc(specs, BARRIER_SAMPLES, ctx.seed, threads=ctx.threads)]

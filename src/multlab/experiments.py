@@ -287,6 +287,7 @@ POISSON_PHASE_DEFAULTS = {
     "loglog_y": 30.0,
     "seed": DEFAULT_SEED,
 }
+MAX_GCURVE_ROWS = 100_000  # the defaults give 71 rows of the delta curve
 
 
 def run_poisson_phase(cfg: dict, rep: _Reporter) -> None:
@@ -319,7 +320,11 @@ def run_poisson_phase(cfg: dict, rep: _Reporter) -> None:
         if not (0.0 < d0 <= d1 <= 1.0 and step > 0 and lly > 0):
             raise ConfigError("poisson-phase: need 0 < delta_min <= delta_max <= 1, "
                               "delta_step > 0 and loglog_y > 0")
-        count = int(math.floor((d1 - d0) / step + 1e-9)) + 1
+        span = (d1 - d0) / step + 1e-9  # the curve has floor(span) + 1 rows
+        if not span < MAX_GCURVE_ROWS:
+            raise ConfigError(f"poisson-phase: delta curve capped at {MAX_GCURVE_ROWS} "
+                              f"rows, got delta_step {step!r}")
+        count = int(math.floor(span)) + 1
         rows = []
         for i in range(count):
             d = min(d0 + i * step, 1.0)
@@ -341,7 +346,6 @@ SMIRNOV_DEFAULTS = {
     "barrier_v": 20.0,
     "barrier_c": [5.0, 10.0, 20.0, 40.0],
     "barrier_mu": 1.0 / 6.0 - 1.0 / 42.0,
-    "barrier_m_offset": 0,
     "barrier_samples": 200_000,
     "yk_k": [2, 3, 4, 5],
     "yk_v_factor": [1.0, 2.0],
@@ -368,10 +372,9 @@ def run_smirnov(cfg: dict, rep: _Reporter) -> None:
         if not (k >= 1 and k - v < u <= 1):
             raise ConfigError(f"smirnov: Daniels point k={k}, v={v}, u={u} "
                               "needs k >= 1 and k - v < u <= 1")
-    bk, bv, bm, bmu = (cfg[key] for key in ("barrier_k", "barrier_v",
-                                            "barrier_m_offset", "barrier_mu"))
+    bk, bv, bmu = (cfg[key] for key in ("barrier_k", "barrier_v", "barrier_mu"))
     try:
-        specs = [BarrierSpec(bk, bv, c, bm, bmu) for c in cfg["barrier_c"]]
+        specs = [BarrierSpec(bk, bv, c, bmu) for c in cfg["barrier_c"]]
     except ValueError as exc:  # BarrierSpec only validates its fields
         raise ConfigError(f"smirnov: barrier: {exc}") from None
     yc, ym = cfg["yk_c"], cfg["yk_m"]

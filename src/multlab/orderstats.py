@@ -1,14 +1,16 @@
 """Uniform order statistics under linear barriers.
 
 Q_k(u, v) = P(xi_i >= (i - u)/v for all i) over the order statistics of k
-uniforms.  Exact values come from the Daniels product formula at u = 1 and
-from Steck's determinant for u < 1; constrained simplex volumes come from a
-recursive polynomial integration.  Monte Carlo estimators cover the barrier
-events, the Y_k region, and the exponential-sum integral U_k.  They draw and
-sort each block one cache-sized (k, w) tile at a time, by one comparator
-network (Batcher's odd-even merge sort) over whole rows, so order statistic j
-is a contiguous row; each estimator reduces a tile before drawing the next.
-barrier_events_mc tests every barrier of one k against one sorted stream.
+uniforms.  Exact values come from the Daniels product formula at u = 1 and,
+for u < 1, from Steck's determinant, expanded by its Hessenberg recurrence;
+constrained simplex volumes come from a recursive polynomial integration.
+Monte Carlo estimators cover the barrier events, the Y_k region, and the
+exponential-sum integral U_k.  They draw and sort each block one cache-sized
+(k, w) tile at a time, by one comparator network (Batcher's odd-even merge
+sort) over whole rows, so order statistic j is a contiguous row; each
+estimator reduces a tile before drawing the next.  Every hit event is a box
+lower <= xi <= upper of order-statistic bounds, counted by one kernel,
+_box_hits, which tests all the boxes of one k against one sorted stream.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ class BarrierSpec:
     k: int
     v: float
     c_shift: float
-    m_offset: int
     mu_exponent: float
 
     def __post_init__(self):
@@ -63,8 +64,6 @@ class BarrierSpec:
             raise ValueError(f"need 1 <= k <= ceil(v), got k={self.k}, v={self.v}")
         if not 0 < self.c_shift < math.inf:
             raise ValueError(f"c_shift must be finite and > 0, got {self.c_shift}")
-        if self.m_offset < 0:
-            raise ValueError(f"m_offset must be >= 0, got {self.m_offset}")
         if not 0 < self.mu_exponent < 0.5:
             raise ValueError(f"mu_exponent must be in (0, 0.5), got {self.mu_exponent}")
 
@@ -120,6 +119,31 @@ def _sorted_tiles(rng: np.random.Generator, n: int, k: int):
         yield start, tile
 
 
+def _box_hits(lower: np.ndarray, upper: np.ndarray | None, n_samples: int,
+              seed: int, stream: int, threads: int = 1) -> np.ndarray:
+    """Per box j, the int64 count of the n_samples sorted k-vectors xi with
+    lower[j] <= xi <= upper[j]; lower and upper are (m, k), upper None means
+    no upper bounds.  Each block of `stream` is sorted once, by _sorted_tiles,
+    and each tile is tested against every box.  A box with no upper bound
+    below 1 skips the upper test, which every sample in [0, 1) passes.
+    """
+    k = lower.shape[1]
+    boxes = [(lo[:, None], None if upper is None or np.all(upper[j] >= 1.0)
+              else upper[j][:, None]) for j, lo in enumerate(lower)]
+
+    def block(rng, length):
+        hits = np.zeros(len(boxes), dtype=np.int64)
+        for _, tile in _sorted_tiles(rng, length, k):
+            for j, (lo, up) in enumerate(boxes):
+                inside = np.all(tile >= lo, axis=0)
+                if up is not None:
+                    inside &= np.all(tile <= up, axis=0)
+                hits[j] += np.count_nonzero(inside)
+        return hits
+
+    return sum(run_blocks(n_samples, seed, stream, block, threads))
+
+
 def _as_fraction(x) -> Fraction:
     # Fraction(float) is exact for binary floats, so exactness is preserved
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -128,47 +152,22 @@ def _as_fraction(x) -> Fraction:
 def _steck_determinant(lower: list[Fraction], k: int) -> Fraction:
     """P(xi_j >= lower_j for all j) by Steck's determinant (upper bounds = 1).
 
-    M[i][j] = (1 - lower_j)_+^(j-i+1) / (j-i+1)! for j-i+1 >= 0, else 0;
-    the probability is k! * det(M).
+    The bounds must be ascending.  Steck's matrix, M[i][j] = c_j^e / e! for
+    e = j-i+1 >= 0 with c_j = (1 - lower_j)_+ (and 0 where c_j = 0), is
+    upper-Hessenberg, and the probability is k! det(M).  Each leading minor
+    expands along its last column: D_0 = 1, D_j = sum_{e=1..j} (-1)^(e-1)
+    (c_j^e / e!) D_{j-e}.  This takes every subdiagonal entry as 1; one that
+    is 0 has c_{j-e} = 0, so c_j = 0 too, as the bounds ascend.
     """
-    mat: list[list[Fraction]] = []
-    for i in range(1, k + 1):
-        row = []
-        for j in range(1, k + 1):
-            e = j - i + 1
-            if e < 0:
-                row.append(Fraction(0))
-                continue
-            c = 1 - lower[j - 1]
-            if c <= 0:
-                row.append(Fraction(0))
-            elif e == 0:
-                row.append(Fraction(1))
-            else:
-                row.append(c**e / Fraction(math.factorial(e)))
-        mat.append(row)
-    # fraction-exact Gaussian elimination
-    det = Fraction(1)
-    n = k
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            factor = mat[r][col] * inv
-            if factor:
-                for c2 in range(col, n):
-                    mat[r][c2] -= factor * mat[col][c2]
-    return det * math.factorial(k)
+    dets = [Fraction(1)]
+    for j in range(1, k + 1):
+        c = max(Fraction(0), 1 - lower[j - 1])
+        term, total = Fraction(1), Fraction(0)
+        for e in range(1, j + 1):
+            term *= -c / e  # (-c_j)^e / e!
+            total -= term * dets[j - e]
+        dets.append(total)
+    return dets[k] * math.factorial(k)
 
 
 def qk_exact(u, v, k: int):
@@ -235,13 +234,8 @@ def qk_mc(u: float, v: float, k: int, n_samples: int, seed: int,
         raise ValueError(f"u must be finite, got {u}")
     if not (math.isfinite(v) and v > 0):
         raise ValueError(f"v must be finite and > 0, got {v}")
-    thresholds = ((np.arange(1, k + 1) - float(u)) / float(v))[:, None]
-
-    def block(rng, length):
-        return sum(int(np.count_nonzero(np.all(tile >= thresholds, axis=0)))
-                   for _, tile in _sorted_tiles(rng, length, k))
-
-    hits = sum(run_blocks(n_samples, seed, 101, block, threads))
+    lower = (np.arange(1, k + 1) - float(u)) / float(v)
+    (hits,) = _box_hits(lower[None], None, n_samples, seed, 101, threads).tolist()
     return McEstimate.from_hits(hits, n_samples, seed)
 
 
@@ -272,50 +266,41 @@ def barrier_events_mc(specs: Sequence[BarrierSpec], n_samples: int, seed: int,
 
     The specs must share k: every spec is tested against the same sorted
     stream, so each triple equals that of a call with its spec alone.
-    B_strong is computed as B intersected with the shifted barrier, so the
-    containment B_strong <= B holds structurally sample by sample.  When no
-    sample lands in B the conditional estimate is NaN with n_samples = 0.
+    barrier_thresholds makes the strong barrier at least the weak one in every
+    coordinate, so the containment B_strong <= B holds sample by sample.
+    When no sample lands in B the conditional estimate is NaN with
+    n_samples = 0.
     """
     ks = {spec.k for spec in specs}
     if len(ks) != 1:
         raise ValueError(f"need specs that share one k, got k in {sorted(ks)}")
-    (k,) = ks
-    bounds = [(weak[:, None], strong[:, None])
-              for weak, strong in map(barrier_thresholds, specs)]
-
-    def block(rng, length):
-        hits = np.zeros((len(specs), 2), dtype=np.int64)
-        for _, tile in _sorted_tiles(rng, length, k):
-            for row, (weak, strong) in zip(hits, bounds):
-                in_b = np.all(tile >= weak, axis=0)
-                row += (np.count_nonzero(in_b),
-                        np.count_nonzero(in_b & np.all(tile >= strong, axis=0)))
-        return hits
-
-    hits = sum(run_blocks(n_samples, seed, 202, block, threads))
+    lower = np.array([bound for spec in specs for bound in barrier_thresholds(spec)])
+    hits = _box_hits(lower, None, n_samples, seed, 202, threads).reshape(-1, 2)
     return [(McEstimate.from_hits(b_hits, n_samples, seed),
              McEstimate.from_hits(s_hits, n_samples, seed),
              McEstimate.from_hits(s_hits, b_hits, seed))
             for b_hits, s_hits in hits.tolist()]
 
 
-def _yk_hits(tile: np.ndarray, k: int, v_tilde: float, c_shift: float,
-             m_offset: int) -> np.ndarray:
-    """Which columns of a sorted (k, w) tile lie in the region Y_k(v_tilde, C)?
+def _yk_box(k: int, v_tilde: float, c_shift: float,
+            m_offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """The box (lower, upper) of the k order statistics that is the region
+    Y_k(v_tilde, C).
 
     Conditions: (ii) xi_{M+i^2} > i/v and xi_{k+1-(M+i^2)} < 1 - i/v for
-    1 <= i <= floor(sqrt(k - M)) (empty when k <= M); (iii) the strong lower
-    barrier v*xi_i >= max(i-1, i + min(i, k-i)^(1/7) - C) at every i.
+    1 <= i <= floor(sqrt(k - M)) (empty when k <= M), each strict bound taken
+    as a closed one at the adjacent float; (iii) the strong lower barrier
+    v*xi_i >= max(i-1, i + min(i, k-i)^(1/7) - C) at every i.
     """
     i, bump = _barrier_bump(k, YK_MU)
     lower = np.maximum(i - 1.0, i + bump - c_shift) / v_tilde
-    ok = np.all(tile >= lower[:, None], axis=0)
-    top = int(math.isqrt(k - m_offset)) if k > m_offset else 0
+    upper = np.ones(k)
+    top = math.isqrt(k - m_offset) if k > m_offset else 0
     for ii in range(1, top + 1):
         idx = m_offset + ii * ii  # 1-based, <= k by construction
-        ok &= tile[idx - 1] > ii / v_tilde
-        ok &= tile[k - idx] < 1.0 - ii / v_tilde
-    return ok
+        lower[idx - 1] = max(lower[idx - 1], np.nextafter(ii / v_tilde, math.inf))
+        upper[k - idx] = np.nextafter(1.0 - ii / v_tilde, -math.inf)
+    return lower, upper
 
 
 def yk_bound(k: int, v_tilde: float) -> float:
@@ -334,12 +319,8 @@ def vol_yk_mc(k: int, v_tilde: float, c_shift: float, m_offset: int,
         raise ValueError(f"need 1 <= k <= ceil(v_tilde), got k={k}, v_tilde={v_tilde}")
     if m_offset < 0:
         raise ValueError(f"m_offset must be >= 0, got {m_offset}")
-
-    def block(rng, length):
-        return sum(int(np.count_nonzero(_yk_hits(tile, k, v_tilde, c_shift, m_offset)))
-                   for _, tile in _sorted_tiles(rng, length, k))
-
-    hits = sum(run_blocks(n_samples, seed, 303, block, threads))
+    lower, upper = _yk_box(k, v_tilde, c_shift, m_offset)
+    (hits,) = _box_hits(lower[None], upper[None], n_samples, seed, 303, threads).tolist()
     return McEstimate.from_hits(hits, n_samples, seed, k)
 
 

@@ -59,7 +59,7 @@ def test_barrier_peak_memory_and_details(ctx):
     # the containment check draws and sorts CONTAINMENT_CHUNK rows at a time,
     # not its 100000 x 20 samples in one piece (30.5 MiB traced); the first
     # call's lazy imports stay out of the peak
-    barrier_events_mc([BarrierSpec(20, 20.0, 1.5, 0, 1.0 / 7.0)], 10, ctx.seed)
+    barrier_events_mc([BarrierSpec(20, 20.0, 1.5, 1.0 / 7.0)], 10, ctx.seed)
     tracemalloc.start()
     try:
         result = acceptance._crit_barrier(ctx)

@@ -148,17 +148,20 @@ MINI_CONFIGS = {
     ("smirnov", "yk_m = -1"),
     ("smirnov", "seed = abc"),
     ("smirnov", "barrier_k = 1.9"),
+    ("smirnov", "barrier_m_offset = 0"),
     ("aq-dichotomy", "slope_threshold = flat"),
     ("aq-dichotomy", "n_grid = [100.7]"),
     ("poisson-phase", "lambda_grid = [0]"),
     ("poisson-phase", "v_grid = [ten]"),
     ("poisson-phase", "include_gcurve = False"),
+    ("poisson-phase", "include_gcurve = true\ndelta_step = 1e-12"),
 ))
 def test_bad_config_values_exit_2(tmp_path, capsys, name, line):
     # each of these once reached a kernel as a bare ValueError or TypeError, or
     # ran on a value other than the one given (include_gcurve = False wrote the
     # curve, seed = 1.5 was recorded but keyed sets by 1, n_grid = [100.7]
-    # counted N = 100); now the config boundary names the value (later lines win)
+    # counted N = 100, barrier_m_offset changed nothing, delta_step = 1e-12 asked
+    # for 7e11 rows); now the config boundary names the value (later lines win)
     cfg = write_cfg(tmp_path, MINI_CONFIGS[name] + line + "\n")
     assert main([name, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

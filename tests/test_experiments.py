@@ -96,3 +96,11 @@ def test_hq_scan_rejects_limit_above_bitmap_cap(tmp_path):
     # raised before any prime set is sieved to the limit
     with pytest.raises(ConfigError, match="hq-scan: limit capped"):
         run_experiment("hq-scan", {"limit": MAX_X_BITMAP + 1}, tmp_path)
+
+
+@pytest.mark.parametrize("step", (1e-12, 5e-324, 6.9e-6))
+def test_poisson_phase_caps_the_delta_curve(tmp_path, step):
+    # rejected before any row is built: 1e-12 would ask for about 7e11 rows,
+    # 5e-324 for an infinite span and 6.9e-6 for 101,450, just above the cap
+    with pytest.raises(ConfigError, match="delta curve capped at 100000 rows"):
+        run_experiment("poisson-phase", {"delta_step": step}, tmp_path)

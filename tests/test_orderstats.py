@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multlab import (
@@ -22,11 +22,12 @@ from multlab import (
 )
 from multlab.orderstats import (
     _TILE,
+    _box_hits,
     _network,
     _sorted_tiles,
     _steck_determinant,
     _uk_integrand,
-    _yk_hits,
+    _yk_box,
     barrier_thresholds,
 )
 from multlab.rng import BLOCK, block_generator
@@ -67,6 +68,9 @@ def test_qk_exact_agrees_with_recursive_volume():
 @settings(max_examples=60)
 @given(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=24),
                 min_size=1, max_size=8).map(sorted))
+@example([Fraction(0)] * 6)  # probability 1
+@example([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)])  # last bound 1
+@example([Fraction(1)] * 5)  # probability 0
 def test_steck_determinant_matches_recursive_volume(bounds):
     # arbitrary ascending rational bounds, not only the linear (i - u) / v
     k = len(bounds)
@@ -156,6 +160,31 @@ def test_sorted_tiles_interleaved_streams():
     for (stream, k), tiles in streams.items():
         expected = np.sort(block_generator(SEED, stream, k).random((n, k)), axis=1)
         assert np.array_equal(_tiles_as_rows(tiles, n, k), expected)
+
+
+@pytest.mark.parametrize("threads", (1, 3))
+def test_box_hits_counts_np_sort_rows(threads):
+    # boxes with no upper bounds, upper bounds of 1 only, some and all upper
+    # bounds below 1, counted over the rows np.sort gives each block
+    k = 6
+    rng = np.random.default_rng(2)
+    lower = np.sort(rng.random((5, k)) * 0.6, axis=1) - 0.1
+    upper = np.sort(rng.random((5, k)) * 0.5 + 0.5, axis=1)
+    upper[1] = 1.0
+    upper[2, -2:] = 1.0
+    expected_lower = np.zeros(5, dtype=np.int64)
+    expected_box = np.zeros(5, dtype=np.int64)
+    for b, m in enumerate((BLOCK, N_PAST_TILE - BLOCK)):
+        s = np.sort(block_generator(SEED, 31, b).random((m, k)), axis=1)
+        above = np.all(s[:, None] >= lower, axis=2)
+        expected_lower += above.sum(axis=0)
+        expected_box += (above & np.all(s[:, None] <= upper, axis=2)).sum(axis=0)
+    for up, expected in ((None, expected_lower), (upper, expected_box)):
+        hits = _box_hits(lower, up, N_PAST_TILE, SEED, 31, threads)
+        assert hits.dtype == np.int64
+        assert np.array_equal(hits, expected)
+    assert expected_box[1] == expected_lower[1]
+    assert np.all(expected_box[[0, 2, 3, 4]] < expected_lower[[0, 2, 3, 4]])
 
 
 @pytest.mark.parametrize("k", range(1, 17))
@@ -250,7 +279,7 @@ def test_mc_thread_invariance():
 
 def test_barrier_events_thread_invariance():
     # k = 20 runs the largest comparator network any experiment uses
-    spec = BarrierSpec(20, 20.0, 1.5, 0, 1.0 / 7.0)
+    spec = BarrierSpec(20, 20.0, 1.5, 1.0 / 7.0)
     (single,) = barrier_events_mc([spec], 150_000, SEED, threads=1)
     (multi,) = barrier_events_mc([spec], 150_000, SEED, threads=3)
     for a, b in zip(single, multi):
@@ -261,7 +290,7 @@ def test_barrier_events_thread_invariance():
 @pytest.mark.parametrize("threads", (1, 3))
 def test_barrier_events_shared_stream_equals_one_spec_calls(threads):
     # the specs differ in v (so in the weak barrier), C and mu, not in k
-    specs = [BarrierSpec(8, v, c, 0, mu) for v, c, mu in
+    specs = [BarrierSpec(8, v, c, mu) for v, c, mu in
              ((8.0, 0.5, 1.0 / 7.0), (9.0, 1.0, 0.2), (10.0, 2.0, 1.0 / 7.0),
               (12.0, 40.0, 1.0 / 7.0))]
     shared = barrier_events_mc(specs, N_PAST_TILE, SEED, threads=threads)
@@ -275,7 +304,7 @@ def test_barrier_events_shared_stream_equals_one_spec_calls(threads):
 
 
 def test_barrier_events_specs_must_share_k():
-    mixed = [BarrierSpec(4, 8.0, 1.0, 0, 1.0 / 7.0), BarrierSpec(5, 8.0, 1.0, 0, 1.0 / 7.0)]
+    mixed = [BarrierSpec(4, 8.0, 1.0, 1.0 / 7.0), BarrierSpec(5, 8.0, 1.0, 1.0 / 7.0)]
     with pytest.raises(ValueError, match="share one k"):
         barrier_events_mc(mixed, 100, SEED)
     with pytest.raises(ValueError):
@@ -283,7 +312,7 @@ def test_barrier_events_specs_must_share_k():
 
 
 def test_barrier_thresholds_shape():
-    spec = BarrierSpec(5, 10.0, 2.0, 0, 1.0 / 7.0)
+    spec = BarrierSpec(5, 10.0, 2.0, 1.0 / 7.0)
     weak, strong = barrier_thresholds(spec)
     assert np.allclose(weak, (np.arange(1, 6) - 1.0) / 10.0)
     assert np.all(strong >= weak)
@@ -292,7 +321,7 @@ def test_barrier_thresholds_shape():
 
 
 def test_barrier_events_containment_and_conditional():
-    spec = BarrierSpec(8, 12.0, 2.0, 0, 1.0 / 7.0)
+    spec = BarrierSpec(8, 12.0, 2.0, 1.0 / 7.0)
     ((p_b, p_s, cond),) = barrier_events_mc([spec], 100_000, SEED)
     assert p_s.hits <= p_b.hits
     assert 0.0 < p_s.estimate <= p_b.estimate
@@ -302,7 +331,7 @@ def test_barrier_events_containment_and_conditional():
 
 def test_barrier_events_large_shift_collapses():
     # C >= k pushes the strong barrier down to the weak one exactly
-    spec = BarrierSpec(8, 12.0, 40.0, 0, 1.0 / 7.0)
+    spec = BarrierSpec(8, 12.0, 40.0, 1.0 / 7.0)
     ((p_b, p_s, cond),) = barrier_events_mc([spec], 50_000, SEED)
     assert p_b.hits == p_s.hits
     assert cond.estimate == 1.0
@@ -310,7 +339,7 @@ def test_barrier_events_large_shift_collapses():
 
 def test_barrier_events_empty_conditional():
     # k = ceil(v) with w = u + v - k tiny: P(B) ~ 2e-3, so 4 samples miss
-    spec = BarrierSpec(21, 20.05, 1.0, 0, 1.0 / 7.0)
+    spec = BarrierSpec(21, 20.05, 1.0, 1.0 / 7.0)
     ((p_b, p_s, cond),) = barrier_events_mc([spec], 4, SEED)
     assert p_b.hits == 0
     assert math.isnan(cond.estimate)
@@ -318,13 +347,12 @@ def test_barrier_events_empty_conditional():
 
 
 def test_barrier_spec_validation():
-    good = dict(k=4, v=8.0, c_shift=1.0, m_offset=0, mu_exponent=1.0 / 7.0)
+    good = dict(k=4, v=8.0, c_shift=1.0, mu_exponent=1.0 / 7.0)
     BarrierSpec(**good)
     for field, bad in (
         ("k", 0),
         ("k", 9),
         ("c_shift", 0.0),
-        ("m_offset", -1),
         ("mu_exponent", 0.5),
         ("mu_exponent", 0.0),
     ):
@@ -339,19 +367,30 @@ def test_barrier_spec_validation():
     ("v", math.nan),
 ])
 def test_barrier_spec_rejects_non_finite(field, bad):
-    good = dict(k=4, v=8.0, c_shift=1.0, m_offset=0, mu_exponent=1.0 / 7.0)
+    good = dict(k=4, v=8.0, c_shift=1.0, mu_exponent=1.0 / 7.0)
     with pytest.raises(ValueError, match=field):
         BarrierSpec(**{**good, field: bad})
 
 
+def _in_yk_box(s, k, v_tilde, c_shift, m_offset):
+    # which rows of the sorted (n, k) samples s lie in the box of Y_k
+    lower, upper = _yk_box(k, v_tilde, c_shift, m_offset)
+    return np.all((lower <= s) & (s <= upper), axis=1)
+
+
 def test_yk_hits_interval_for_k1():
     def member(xi, m_offset):
-        return bool(_yk_hits(np.array([xi]), 1, 5.0, 2.0, m_offset)[0])
+        return bool(_in_yk_box(np.array([xi]), 1, 5.0, 2.0, m_offset)[0])
 
     # k = 1, M = 0: condition (ii) forces xi in (1/v, 1 - 1/v); barrier is moot at C >= 1
     assert member([0.5], 0)
     assert not member([0.1], 0)
     assert not member([0.9], 0)
+    # the interval is open: its ends lie outside, the adjacent floats inside
+    assert not member([0.2], 0)
+    assert not member([0.8], 0)
+    assert member([np.nextafter(0.2, 1)], 0)
+    assert member([np.nextafter(0.8, 0)], 0)
     # M >= k empties condition (ii)
     assert member([0.05], 1)
 
@@ -384,7 +423,7 @@ def test_strong_barrier_geometric_sum():
     k, v_tilde, c_shift, m_offset = 12, 12.5, 6.0, 2
     rng = block_generator(SEED, 77, 0)
     s = np.sort(rng.random((20_000, k)), axis=1)
-    hits = _yk_hits(s.T, k, v_tilde, c_shift, m_offset)
+    hits = _in_yk_box(s, k, v_tilde, c_shift, m_offset)
     assert hits.any()
     i = np.arange(1, k + 1, dtype=np.float64)
     lhs = np.exp2(i - v_tilde * s[hits]).sum(axis=1)
@@ -430,7 +469,7 @@ def test_mc_blocks_peak_memory():
     # a block is drawn and sorted one tile at a time, so its peak is a few
     # (k, _TILE) buffers, not the (n, k) draws of a whole block (20 MiB at
     # k = 20)
-    specs = [BarrierSpec(20, 20.0, 1.5, 0, 1.0 / 7.0)]
+    specs = [BarrierSpec(20, 20.0, 1.5, 1.0 / 7.0)]
     barrier_events_mc(specs, 10, SEED)  # first-call imports are not the kernel's
     tracemalloc.start()
     try:

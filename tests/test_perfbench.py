@@ -4,6 +4,7 @@ A rename or deletion in src that drops one of them fails here, not only in a
 traced benchmark run."""
 
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,18 @@ def test_workload_api_builds(perfbench):
     _, workloads = perfbench
     api = workloads.make_api()
     assert all(callable(fn) for name, fn in vars(api).items() if name != "acceptance")
+
+
+def test_tracer_hooks_read_existing_arguments(perfbench):
+    # the traced run's hooks read these arguments by name; no Tier-1 test
+    # starts a traced run, so a rename would otherwise pass unnoticed
+    tracing, _ = perfbench
+
+    def params(module, name):
+        fn = getattr(importlib.import_module(f"multlab.{module}"), name)
+        return set(inspect.signature(fn).parameters)
+
+    for name in tracing.MC_FUNCTIONS:
+        assert "n_samples" in params("orderstats", name), name
+    assert {"method", "x", "y", "z"} <= params("counting", "count_hq")
+    assert "block_fn" in params("rng", "run_blocks")
