@@ -12,7 +12,6 @@ from .primes import (
     sieve_primes,
 )
 from .divisors import (
-    Factorization,
     divisors,
     enumerate_sq,
     factorize,

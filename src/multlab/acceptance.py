@@ -248,8 +248,9 @@ def _squarefree_count(n: int) -> int:
     """#{squarefree a <= n} = sum over d <= sqrt(n) of mu(d) * floor(n / d^2)."""
     total = 0
     for d in range(1, math.isqrt(n) + 1):
-        fac = factorize(d)
-        total += fac.mu_squared * (-1) ** fac.omega * (n // (d * d))
+        factors = factorize(d)
+        if all(e == 1 for _, e in factors):  # mu(d) != 0
+            total += (-1) ** len(factors) * (n // (d * d))
     return total
 
 

@@ -4,8 +4,8 @@ products, and rough numbers.
 H_Q(x, y, z) counts n in S_Q, n <= x, having a divisor in (y, z]; A_Q(N) counts
 distinct products ab with a, b in S_Q up to N.  Two independent H_Q methods are
 kept deliberately separate so they cross-validate each other.  S_Q membership
-up to x is a view of the prime set's own bitmap, which each set builds once, to
-its limit.  No kernel branches on the kind of prime set.  Because S_Q is closed
+up to x is a view of the prime set's own bitmap, built with the set, to its
+limit.  No kernel branches on the kind of prime set.  Because S_Q is closed
 under divisors, the divisor-multiples method marks the multiples of the members
 d in (y, z] and intersects the marks with the bitmap once.  A_Q reads its
 members a from the bitmap too and has two exact kernels, chosen by the density
@@ -135,7 +135,7 @@ def count_hq(
     hits = np.zeros(end + 1, dtype=np.int32)
     np.cumsum(in_range, dtype=np.int32, out=hits[1:])
     del in_range
-    members = np.array(enumerate_sq(ps, xi), dtype=np.int64)
+    members = enumerate_sq(ps, xi)
     value = int(np.count_nonzero(hits[offsets[members + 1]] > hits[offsets[members]]))
     return CountResult(value, method, time.perf_counter() - t0)
 

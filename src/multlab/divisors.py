@@ -14,7 +14,6 @@ the odd numbers past it, so no prime list grows with the inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, count
 
 import numpy as np
@@ -31,26 +30,14 @@ _LW_BLOCK_CELLS = 1 << 12
 _SMALL_PRIMES = tuple(sieve_primes(1 << 16).tolist())
 
 
-@dataclass
-class Factorization:
-    """Prime factorization of n >= 1.  For n = 1: omega 0, P+ = 1, P- = +inf."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n >= 1, ascending; () for n = 1.
 
-    n: int
-    factors: tuple[tuple[int, int], ...]  # (prime, exponent), ascending
-    omega: int
-    mu_squared: int
-    p_plus: int
-    p_minus: float  # +inf sentinel for n = 1
-
-
-def factorize(n: int) -> Factorization:
-    """Trial division up to sqrt(n): by the primes below 2^16, then by the odd
+    Trial division up to sqrt(n): by the primes below 2^16, then by the odd
     numbers past them.  An odd composite never divides, because its prime
     factors are divided out before it is reached.  Desk scale."""
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    if n == 1:
-        return Factorization(1, (), 0, 1, 1, math.inf)
     m = n
     factors: list[tuple[int, int]] = []
     for p in chain(_SMALL_PRIMES, count(_SMALL_PRIMES[-1] + 2, 2)):
@@ -64,15 +51,13 @@ def factorize(n: int) -> Factorization:
             factors.append((p, e))
     if m > 1:
         factors.append((m, 1))
-    omega = len(factors)
-    mu_sq = 1 if all(e == 1 for _, e in factors) else 0
-    return Factorization(n, tuple(factors), omega, mu_sq, factors[-1][0], float(factors[0][0]))
+    return tuple(factors)
 
 
 def divisors(n: int) -> list[int]:
     """Sorted divisors of n, expanded from the factorization."""
     divs = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         pk = 1
         extended = list(divs)
         for _ in range(e):
@@ -83,14 +68,15 @@ def divisors(n: int) -> list[int]:
     return divs
 
 
-def enumerate_sq(ps: PrimeSet, x: float) -> list[int]:
-    """Ascending members of S_Q up to x, generated as products of Q-primes.
+def enumerate_sq(ps: PrimeSet, x: float) -> np.ndarray:
+    """Ascending int64 array of the members of S_Q up to x, generated as
+    products of Q-primes.
 
     Never filters the integers: builds products of Q-primes (with repetition)
     directly, so the cost is about proportional to the output size.
     """
     if x < 1:
-        return []
+        return np.zeros(0, dtype=np.int64)
     if ps.limit < x:
         raise ValueError(f"prime set materialized to {ps.limit} < x = {x}")
     cap = int(x)
@@ -118,7 +104,7 @@ def enumerate_sq(ps: PrimeSet, x: float) -> list[int]:
             parts.append(large[: np.searchsorted(large, cap // m, side="right")] * m)
     out = np.concatenate(parts)
     out.sort()
-    return out.tolist()
+    return out
 
 
 def l_measure(a: int) -> float:

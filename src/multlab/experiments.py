@@ -37,7 +37,7 @@ from .orderstats import (
     yk_bound,
 )
 from .poisson import classify_regime, e_factor, g_exponent, main_term
-from .primes import MAX_X_BITMAP, PrimeSet, density_audit, make_prime_set
+from .primes import AUDIT_X_MIN, MAX_X_BITMAP, PrimeSet, density_audit, make_prime_set
 
 AUDIT_GRID_POINTS = 12
 DEFAULT_SEED = 20260825
@@ -72,7 +72,7 @@ def resolve_prime_set(desc: str, limit: int, seed: int = 0) -> PrimeSet:
 
 def audit_summary(ps: PrimeSet) -> dict:
     """Descriptor plus the density audit every report must carry."""
-    grid = np.geomspace(16.0, ps.limit, AUDIT_GRID_POINTS)
+    grid = np.geomspace(AUDIT_X_MIN, ps.limit, AUDIT_GRID_POINTS)
     audit = density_audit(ps, grid)
     out = ps.descriptor()
     out["kappa_hat"] = audit.kappa_hat
@@ -184,6 +184,8 @@ def run_hq_scan(cfg: dict, rep: _Reporter) -> None:
     x_grid, y_grid, limit, zf = cfg["x_grid"], cfg["y_grid"], cfg["limit"], cfg["z_factor"]
     if limit > MAX_X_BITMAP:
         raise ConfigError(f"hq-scan: limit capped at {MAX_X_BITMAP}, got {limit}")
+    if limit < AUDIT_X_MIN:  # the density audit starts its grid there
+        raise ConfigError(f"hq-scan: limit must be at least {AUDIT_X_MIN}, got {limit}")
     if limit < max(x_grid):
         raise ConfigError(f"hq-scan: limit {limit} below max x {max(x_grid)}")
     if not min(x_grid) >= max(y_grid) > math.e:
@@ -216,6 +218,7 @@ def run_hq_scan(cfg: dict, rep: _Reporter) -> None:
                 timings.append({"q": desc, "x": x, "y": y, "z": z,
                                 "method": res.method,
                                 "elapsed_seconds": round(res.elapsed, 6)})
+        del ps  # else its bitmap lives on while the next set builds its own
     rep.result.summary["count_hq"] = timings
     rep.add_table("hq_scan",
                   ["q", "x", "y", "z", "delta", "count", "predictor", "ratio"],
@@ -241,7 +244,7 @@ def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
         raise ConfigError(f"aq-dichotomy: N must be >= 1, got {n_grid[0]}")
     if n_grid[-1] > MAX_N_AQ:
         raise ConfigError(f"aq-dichotomy: N capped at {MAX_N_AQ}, got {n_grid[-1]}")
-    limit = max(n_grid[-1], 16)
+    limit = max(n_grid[-1], AUDIT_X_MIN)
 
     rows = []
     timings = []  # manifest only, as in hq-scan
@@ -268,6 +271,7 @@ def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
             slope = 0.0
         trend = "decaying" if slope <= cfg["slope_threshold"] else "flat"
         slopes[desc] = {"slope": slope, "trend": trend, "delta": ps.delta}
+        del ps  # else its bitmap lives on while the next set builds its own
     rep.result.summary["slopes"] = slopes
     rep.result.summary["count_aq"] = timings
     rep.add_table("aq_dichotomy",

@@ -5,7 +5,10 @@ is expected to track delta * x / log x.  Three constructions are supported:
 all primes (delta = 1), primes in fixed residue classes mod m
 (delta = |A| / phi(m)), and a pseudo-random thinning of all primes that keeps
 each prime independently with probability delta* (decided by a keyed hash, so
-the set is a pure function of the seed).
+the set is a pure function of the seed).  make_prime_set sieves once to the
+limit; the primes it keeps are the members, and the primes it leaves out
+build the set's S_Q bitmap by a complement sieve, so every set carries its
+bitmap from construction on.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +26,7 @@ MAX_X_BITMAP = 1 << 31
 MAX_MODULUS = 1 << 32
 SIEVE_SEGMENT = 1 << 20  # odd numbers per segment of sieve_primes
 MERTENS_BLOCK = 1 << 15  # members per block of mertens_sum
+AUDIT_X_MIN = 16  # the smallest x of a density audit grid
 
 _MASK64 = (1 << 64) - 1
 
@@ -79,18 +82,19 @@ def _splitmix64(x: np.ndarray | int):
     return z ^ (z >> 31)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrimeSet:
-    """A materialized prime set: members, nominal density, and provenance."""
+    """A materialized prime set: members, nominal density, provenance, and
+    the read-only membership bitmap of S_Q over [0, limit], True at n iff all
+    prime factors of n are in Q (index 0 False, index 1 True).  Built by
+    make_prime_set, which fills every field from one sieve."""
 
     kind: str  # "all" | "congruence" | "thinned"
     limit: int
     delta: float
     members: np.ndarray  # ascending int64
-    params: dict = field(default_factory=dict)
-    # the primes <= limit outside Q, set by make_prime_set from its own sieve
-    # and dropped once sq_bitmap has cleared their multiples
-    _excluded: np.ndarray | None = field(default=None, repr=False, compare=False)
+    params: dict
+    sq_bitmap: np.ndarray = field(repr=False, compare=False)
 
     def descriptor(self) -> dict:
         """JSON-safe summary used in manifests and count results."""
@@ -102,46 +106,25 @@ class PrimeSet:
             "count": int(len(self.members)),
         }
 
-    @cached_property
-    def sq_bitmap(self) -> np.ndarray:
-        """Read-only membership bitmap of S_Q over [0, limit]: True at n iff
-        all prime factors of n are in Q.  Index 0 is False, index 1 is True.
 
-        Built once per set, on first use, by clearing multiples of the primes
-        *outside* Q (complement sieve): strided per prime up to sqrt(limit),
-        per cofactor beyond it.  A set from make_prime_set takes those primes
-        from the sieve that built it, so it is never sieved again; a set built
-        by hand sieves to its limit here and checks that its members are
-        primes.
-        """
-        x = int(self.limit)
-        if x > MAX_X_BITMAP:
-            raise ValueError(f"limit = {x} beyond bitmap cap {MAX_X_BITMAP}")
-        bm = np.ones(x + 1, dtype=bool)
-        bm[0] = False
-        excluded, self._excluded = self._excluded, None
-        if self.kind != "all" and x >= 2:
-            if excluded is None:  # built by hand: nothing vouches for the members
-                primes = sieve_primes(x)
-                members = self.members[: np.searchsorted(self.members, x, side="right")]
-                at = np.minimum(np.searchsorted(primes, members), len(primes) - 1)
-                if not np.array_equal(primes[at], members):
-                    raise ValueError("prime set members are not primes")
-                outside = np.ones(len(primes), dtype=bool)
-                outside[at] = False
-                excluded = primes[outside]
-                del primes, members, at, outside
-            split = int(np.searchsorted(excluded, math.isqrt(x), side="right"))
-            for p in excluded[:split].tolist():
-                bm[p::p] = False
-            # A multiple k*p <= x of an excluded p > sqrt(x) has k < sqrt(x), so
-            # loop over the cofactor k and clear every such p at once.
-            large = excluded[split:]
-            k_max = x // int(large[0]) if len(large) else 0
-            for k in range(1, k_max + 1):
-                bm[large[: np.searchsorted(large, x // k, side="right")] * k] = False
-        bm.flags.writeable = False
-        return bm
+def _complement_sieve(limit: int, excluded: np.ndarray) -> np.ndarray:
+    """Read-only bitmap of S_Q over [0, limit], from the ascending primes
+    <= limit outside Q: clears their multiples, strided per prime up to
+    sqrt(limit), per cofactor beyond it."""
+    x = int(limit)
+    bm = np.ones(x + 1, dtype=bool)
+    bm[0] = False
+    split = int(np.searchsorted(excluded, math.isqrt(x), side="right"))
+    for p in excluded[:split].tolist():
+        bm[p::p] = False
+    # A multiple k*p <= x of an excluded p > sqrt(x) has k < sqrt(x), so
+    # loop over the cofactor k and clear every such p at once.
+    large = excluded[split:]
+    k_max = x // int(large[0]) if len(large) else 0
+    for k in range(1, k_max + 1):
+        bm[large[: np.searchsorted(large, x // k, side="right")] * k] = False
+    bm.flags.writeable = False
+    return bm
 
 
 def make_prime_set(
@@ -153,17 +136,21 @@ def make_prime_set(
     target_density: float | None = None,
     seed: int = 0,
 ) -> PrimeSet:
-    """Materialize a prime set up to `limit`.
+    """Materialize a prime set up to `limit`, with its S_Q bitmap.
 
     kind="all": every prime, delta = 1.
     kind="congruence": primes p with p mod modulus in residues; every residue
         must be coprime to the modulus; delta = #residues / phi(modulus).
     kind="thinned": keep each prime p when hash(seed, p) / 2^64 < target_density.
+
+    One sieve picks the members, and the primes it leaves out build the bitmap.
     """
+    if limit > MAX_X_BITMAP:
+        raise ValueError(f"limit = {limit} beyond bitmap cap {MAX_X_BITMAP}")
     primes = sieve_primes(limit)
     if kind == "all":
-        return PrimeSet("all", limit, 1.0, primes)
-    if kind == "congruence":
+        delta, params, keep = 1.0, {}, np.ones(len(primes), dtype=bool)
+    elif kind == "congruence":
         if modulus is None or residues is None:
             raise ValueError("congruence prime set needs modulus and residues")
         m = int(modulus)
@@ -176,33 +163,24 @@ def make_prime_set(
             if math.gcd(a, m) != 1:
                 raise ValueError(f"residue {a} is not coprime to modulus {m}")
         from .divisors import factorize  # divisors imports this module
-        phi = math.prod((p - 1) * p ** (e - 1) for p, e in factorize(m).factors)
+        phi = math.prod((p - 1) * p ** (e - 1) for p, e in factorize(m))
+        delta, params = len(rset) / phi, {"modulus": m, "residues": rset}
         # "sort" compares residue by residue when there are few of them
         keep = np.isin(primes % m, np.array(rset), kind="sort")
-        return PrimeSet(
-            "congruence",
-            limit,
-            len(rset) / phi,
-            primes[keep],
-            {"modulus": m, "residues": rset},
-            primes[~keep],
-        )
-    if kind == "thinned":
+    elif kind == "thinned":
         if target_density is None or not (0.0 < target_density <= 1.0):
             raise ValueError(f"target_density must be in (0, 1], got {target_density}")
+        delta = float(target_density)
+        params = {"target_density": delta, "seed": int(seed)}
         mixed_seed = _splitmix64(int(seed))
         h = _splitmix64(primes.astype(np.uint64) ^ np.uint64(mixed_seed))
-        u = h.astype(np.float64) / 2.0**64  # in [0, 1): density 1.0 keeps all
-        keep = u < target_density
-        return PrimeSet(
-            "thinned",
-            limit,
-            float(target_density),
-            primes[keep],
-            {"target_density": float(target_density), "seed": int(seed)},
-            primes[~keep],
-        )
-    raise ValueError(f"unknown prime set kind: {kind!r}")
+        keep = h.astype(np.float64) / 2.0**64 < target_density  # h / 2^64 < 1: 1.0 keeps all
+        del h
+    else:
+        raise ValueError(f"unknown prime set kind: {kind!r}")
+    members, excluded = primes[keep], primes[~keep]
+    del primes, keep
+    return PrimeSet(kind, limit, delta, members, params, _complement_sieve(limit, excluded))
 
 
 def pi_q(ps: PrimeSet, x: float) -> int:
@@ -262,8 +240,8 @@ def density_audit(ps: PrimeSet, grid) -> DensityAudit:
     if not grid:
         raise ValueError("density_audit needs a nonempty grid")
     for x in grid:
-        if not 16 <= x <= ps.limit:
-            raise ValueError(f"grid point {x} outside [16, limit={ps.limit}]")
+        if not AUDIT_X_MIN <= x <= ps.limit:
+            raise ValueError(f"grid point {x} outside [{AUDIT_X_MIN}, limit={ps.limit}]")
 
     kappa_hat = -1.0
     worst_x = grid[0]

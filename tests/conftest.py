@@ -41,7 +41,7 @@ def in_sq(ps: PrimeSet, n: int) -> bool:
     if n < 1:
         raise ValueError(f"in_sq requires n >= 1, got {n}")
     members = ps.members
-    for p, _ in factorize(n).factors:
+    for p, _ in factorize(n):
         if p > ps.limit:
             raise ValueError(
                 f"prime factor {p} of {n} exceeds materialized limit {ps.limit}"

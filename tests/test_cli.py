@@ -142,6 +142,7 @@ MINI_CONFIGS = {
     ("hq-scan", "seed = abc"),
     ("hq-scan", "seed = 1.5"),
     ("hq-scan", "limit = 3000000\nx_grid = [3000000]\nmethod = exhaustive"),
+    ("hq-scan", "limit = 10\nx_grid = [10]\ny_grid = [5]"),
     ("smirnov", "daniels_u = [1.5]"),
     ("smirnov", "daniels_samples = 0"),
     ("smirnov", "barrier_k = 0"),
@@ -161,7 +162,8 @@ def test_bad_config_values_exit_2(tmp_path, capsys, name, line):
     # ran on a value other than the one given (include_gcurve = False wrote the
     # curve, seed = 1.5 was recorded but keyed sets by 1, n_grid = [100.7]
     # counted N = 100, barrier_m_offset changed nothing, delta_step = 1e-12 asked
-    # for 7e11 rows); now the config boundary names the value (later lines win)
+    # for 7e11 rows, limit = 10 reached the density audit, whose grid starts at
+    # 16); now the config boundary names the value (later lines win)
     cfg = write_cfg(tmp_path, MINI_CONFIGS[name] + line + "\n")
     assert main([name, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Counting functions: H_Q by two methods plus a brute-force oracle, A_Q,
 and rough numbers."""
 
+import dataclasses
 import math
 import random
 
@@ -21,7 +22,7 @@ from multlab import (
 )
 from multlab.divisors import _smallest_prime_factors, l_measure
 from multlab.experiments import resolve_prime_set
-from multlab.primes import LOG2, PrimeSet, make_prime_set
+from multlab.primes import LOG2, PrimeSet, _complement_sieve, make_prime_set, sieve_primes
 
 from conftest import in_sq
 
@@ -124,7 +125,7 @@ def test_count_aq_known_values(ps_all):
 
 def test_count_aq_matches_outer_product(ps_all, ps_1mod4, ps_thinned):
     for ps, n in ((ps_all, 200), (ps_1mod4, 500), (ps_thinned, 1000)):
-        members = np.array(enumerate_sq(ps, n), dtype=np.int64)
+        members = enumerate_sq(ps, n)
         expected = len(np.unique(np.outer(members, members)))
         assert count_aq(ps, n).value == expected
 
@@ -137,7 +138,7 @@ AQ_SETS = ("all", "congruence:4:1", "congruence:3:2", "congruence:8:1+3",
 @given(desc=st.sampled_from(AQ_SETS), n=st.integers(1, 400), k=st.integers(4, 14))
 def test_count_aq_matches_outer_product_everywhere(desc, n, k):
     ps = resolve_prime_set(desc, 400)
-    members = np.array(enumerate_sq(ps, n), dtype=np.int64)
+    members = enumerate_sq(ps, n)
     expected = len(np.unique(np.outer(members, members)))
     # segments from 16 cells to past N^2 = 160,000, so marks cross their edges
     with pytest.MonkeyPatch.context() as m:
@@ -151,7 +152,7 @@ def test_count_aq_segmented_path(ps_all, ps_1mod4, ps_thinned, monkeypatch):
     monkeypatch.setattr(counting, "_AQ_SEGMENT", 1 << 17)
     for ps, n in ((ps_all, 1500), (ps_1mod4, 1500), (ps_thinned, 1500)):
         bm = counting._sq_bitmap(ps, n)
-        members = np.array(enumerate_sq(ps, n), dtype=np.int64)
+        members = enumerate_sq(ps, n)
         assert counting._aq_bitmap(bm, n) == len(np.unique(np.outer(members, members)))
 
 
@@ -160,7 +161,7 @@ def test_count_aq_chooses_by_density(ps_all, ps_1mod4, ps_thinned):
     for ps in (ps_1mod4, ps_thinned):
         res = count_aq(ps, 1500)
         assert res.method == "sorted-products"
-        members = np.array(enumerate_sq(ps, 1500), dtype=np.int64)
+        members = enumerate_sq(ps, 1500)
         assert res.value == len(np.unique(np.outer(members, members)))
 
 
@@ -256,7 +257,7 @@ def test_count_rough_matches_brute_force(ps_1mod4):
         expected = sum(
             1
             for n in range(1, 401)
-            if in_sq(ps_1mod4, n) and factorize(n).p_minus > z
+            if in_sq(ps_1mod4, n) and all(p > z for p, _ in factorize(n))  # P-(n) > z
         )
         assert count_rough(ps_1mod4, 400, z).value == expected
 
@@ -278,9 +279,9 @@ def test_count_rough_leaves_cache_intact(ps_1mod4):
 def test_squarefree_walk_matches_l_measure_on_thinned_set(ps_thinned):
     limit = 3000
     sf = [a for a in range(1, limit + 1)
-          if in_sq(ps_thinned, a) and factorize(a).mu_squared == 1]
-    walk = [a for a in enumerate_sq(ps_thinned, limit)
-            if factorize(a).mu_squared == 1]
+          if in_sq(ps_thinned, a) and all(e == 1 for _, e in factorize(a))]
+    walk = [a for a in enumerate_sq(ps_thinned, limit).tolist()
+            if all(e == 1 for _, e in factorize(a))]
     assert walk == sf
     # L(a) is log 2 plus each gap between consecutive log-divisors, capped at log 2
     for a in sf:
@@ -302,7 +303,7 @@ def test_divisor_table_rows_match_divisors(monkeypatch):
     assert counting._divisor_table(100)[1] is divs
 
 
-BITMAP_SETS = ("thinned:0.4:7", "congruence:3:2", "congruence:8:1+3")
+BITMAP_SETS = ("all", "thinned:0.4:7", "congruence:3:2", "congruence:8:1+3")
 # both sides of the sqrt(x) split between strided and per-cofactor clearing
 BITMAP_XS = (1, 2, 3, 4, 48, 49, 50, 120, 121, 2000)
 
@@ -323,29 +324,12 @@ def test_sq_bitmap_matches_in_sq(desc):
         assert bm.tolist() == expected[: x + 1], x
 
 
-@pytest.mark.parametrize("desc", BITMAP_SETS)
-def test_sq_bitmap_from_the_constructor_sieve_matches_a_fresh_sieve(desc):
-    # make_prime_set hands its bitmap the primes it left out of Q; a set built
-    # by hand with the same members sieves them again
-    for x in BITMAP_XS:
-        if x >= 2:  # a prime set needs limit >= 2
-            ps = resolve_prime_set(desc, x)
-            by_hand = PrimeSet(ps.kind, ps.limit, ps.delta, ps.members.copy(), ps.params)
-            assert by_hand._excluded is None
-            assert np.array_equal(ps.sq_bitmap, by_hand.sq_bitmap), x
-
-
-def test_sq_bitmap_rejects_non_prime_members():
-    bogus = PrimeSet("congruence", 100, 0.5, np.array([3, 9, 11], dtype=np.int64),
-                     {"modulus": 2, "residues": [1]})
-    with pytest.raises(ValueError, match="not primes"):
-        counting._sq_bitmap(bogus, 100)
-
-
 def test_sq_bitmap_belongs_to_its_prime_set():
     # equal descriptors, different members: each set must count its own S_Q
     params = {"modulus": 2, "residues": [1]}
-    sets = [PrimeSet("congruence", 100, 0.5, np.array(m, dtype=np.int64), params)
+    primes = sieve_primes(100)
+    sets = [PrimeSet("congruence", 100, 0.5, primes[np.isin(primes, m)], params,
+                     _complement_sieve(100, primes[~np.isin(primes, m)]))
             for m in ([3, 5, 7], [3, 11, 13])]
     assert sets[0].descriptor() == sets[1].descriptor()
     for ps in sets:
@@ -404,12 +388,12 @@ def test_count_hq_methods_stay_independent(monkeypatch):
         raise AssertionError("shared machinery between the two H_Q methods")
 
     x, y, z = 5000, 40.0, 900.0
-    ps = make_prime_set("congruence", x, modulus=4, residues=(1,))  # no bitmap yet
-    with monkeypatch.context() as m:
-        m.setattr(counting, "_sq_bitmap", forbidden)
-        expected = count_hq(ps, x, y, z, method="exhaustive").value
+    ps = make_prime_set("congruence", x, modulus=4, residues=(1,))
+    # the walk never reads the bitmap, so a blank one leaves its count as it is
+    blank = dataclasses.replace(ps, sq_bitmap=np.zeros(x + 1, dtype=bool))
+    expected = count_hq(blank, x, y, z, method="exhaustive").value
+    assert expected > 0
     with monkeypatch.context() as m:
         m.setattr(counting, "_divisor_table", forbidden)
         m.setattr(counting, "enumerate_sq", forbidden)
-        assert "sq_bitmap" not in vars(ps)  # built inside the next call
         assert count_hq(ps, x, y, z, method="divisor-multiples").value == expected

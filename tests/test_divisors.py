@@ -4,6 +4,7 @@ import importlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from multlab import (
@@ -22,26 +23,25 @@ from conftest import in_sq
 
 
 def test_factorize_basic():
-    f1 = factorize(1)
-    assert (f1.factors, f1.omega, f1.mu_squared) == ((), 0, 1)
-    assert f1.p_plus == 1 and f1.p_minus == math.inf
+    # no prime factor: omega 0 and squarefree
+    assert factorize(1) == ()
 
     f12 = factorize(12)
-    assert f12.factors == ((2, 2), (3, 1))
-    assert (f12.omega, f12.mu_squared, f12.p_plus, f12.p_minus) == (2, 0, 3, 2.0)
+    assert f12 == ((2, 2), (3, 1))
+    # omega, squarefree, P+ and P-
+    assert (len(f12), all(e == 1 for _, e in f12), f12[-1][0], f12[0][0]) == (2, False, 3, 2)
 
-    f97 = factorize(97)
-    assert f97.factors == ((97, 1),)
+    assert factorize(97) == ((97, 1),)
 
     primorial = factorize(9699690)  # 2*3*5*7*11*13*17*19
-    assert primorial.omega == 8 and primorial.mu_squared == 1
-    assert primorial.p_plus == 19
+    assert len(primorial) == 8 and all(e == 1 for _, e in primorial)
+    assert primorial[-1][0] == 19
 
 
 def test_factorize_grows_prime_cache():
     n = 65537 * 65537  # needs trial primes beyond the initial cache
-    assert factorize(n).factors == ((65537, 2),)
-    assert factorize(65537 * 65539).factors == ((65537, 1), (65539, 1))
+    assert factorize(n) == ((65537, 2),)
+    assert factorize(65537 * 65539) == ((65537, 1), (65539, 1))
 
 
 def test_factorize_rejects_zero():
@@ -73,19 +73,20 @@ def test_in_sq_beyond_limit():
 
 
 def test_enumerate_sq_all_integers(ps_all):
-    assert enumerate_sq(ps_all, 10) == list(range(1, 11))
-    assert enumerate_sq(ps_all, 0.5) == []
+    assert enumerate_sq(ps_all, 10).tolist() == list(range(1, 11))
+    assert enumerate_sq(ps_all, 0.5).tolist() == []
+    assert enumerate_sq(ps_all, 10).dtype == enumerate_sq(ps_all, 0.5).dtype == np.int64
 
 
 def test_enumerate_sq_sparse(ps_1mod4):
-    assert enumerate_sq(ps_1mod4, 100) == [
+    assert enumerate_sq(ps_1mod4, 100).tolist() == [
         1, 5, 13, 17, 25, 29, 37, 41, 53, 61, 65, 73, 85, 89, 97,
     ]
 
 
 def test_enumerate_sq_matches_membership_filter(ps_1mod4, ps_thinned):
     for ps in (ps_1mod4, ps_thinned):
-        listed = enumerate_sq(ps, 2000)
+        listed = enumerate_sq(ps, 2000).tolist()
         filtered = [n for n in range(1, 2001) if in_sq(ps, n)]
         assert listed == filtered
 
@@ -100,7 +101,7 @@ def test_enumerate_sq_requires_materialized_primes():
 def test_walkers_match_brute_force(desc):
     ps = resolve_prime_set(desc, 3000)
     members = [n for n in range(1, 3001) if in_sq(ps, n)]
-    assert enumerate_sq(ps, 3000) == members
+    assert enumerate_sq(ps, 3000).tolist() == members
 
 
 @pytest.mark.parametrize("desc", ["all", "congruence:3:2", "congruence:8:1+3"])
@@ -110,7 +111,7 @@ def test_walkers_at_square_caps(desc):
     ps = resolve_prime_set(desc, 200)
     members = [n for n in range(1, 201) if in_sq(ps, n)]
     for cap in (1, 2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 200):
-        assert enumerate_sq(ps, cap) == [n for n in members if n <= cap], cap
+        assert enumerate_sq(ps, cap).tolist() == [n for n in members if n <= cap], cap
 
 
 def test_l_measure_singletons():
@@ -172,13 +173,13 @@ def _assert_matches_trial_division(n):
         assert primes.shape == (m, primes.shape[1]) and l_vals.shape == w_vals.shape == (m,)
         walked += zip(a_vals.tolist(), primes.tolist(), l_vals.tolist(), w_vals.tolist())
     assert sorted(a for a, *_ in walked) == [
-        a for a in range(1, n + 1) if factorize(a).mu_squared
+        a for a in range(1, n + 1) if all(e == 1 for _, e in factorize(a))
     ]
     # blocks come by ascending omega, and within an omega ascending in a
     assert [a for a, *_ in walked] == sorted(
-        (a for a, *_ in walked), key=lambda a: (factorize(a).omega, a))
+        (a for a, *_ in walked), key=lambda a: (len(factorize(a)), a))
     for a, primes, l_val, w_val in walked:
-        assert primes == [p for p, _ in factorize(a).factors], a
+        assert primes == [p for p, _ in factorize(a)], a
         # array kernels against the per-a reference loops: equal bits, not approx
         assert l_val == l_measure(a), a
         assert w_val == w_count(a), a

@@ -1,5 +1,6 @@
 """Sieving, prime-set construction, and density audits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -201,10 +202,21 @@ def test_prime_set_and_its_bitmap_sieve_once(desc, monkeypatch):
 
     monkeypatch.setattr(primes, "sieve_primes", counted)
     ps = resolve_prime_set(desc, 10**4)
-    assert ps.sq_bitmap[1]
+    assert ps.sq_bitmap[1] and not ps.sq_bitmap.flags.writeable
     assert calls == [10**4]
-    assert ps._excluded is None  # dropped once the bitmap is built
-    # nothing vouches for the members of a set built by hand: it sieves
-    by_hand = primes.PrimeSet(ps.kind, ps.limit, ps.delta, ps.members, ps.params)
-    assert by_hand.sq_bitmap[1]
-    assert calls == [10**4, 10**4]
+
+
+def test_make_prime_set_rejects_a_limit_past_the_bitmap_cap(monkeypatch):
+    def forbidden(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(primes, "sieve_primes", forbidden)
+    with pytest.raises(ValueError, match="bitmap cap"):
+        make_prime_set("all", primes.MAX_X_BITMAP + 1)
+
+
+def test_prime_set_is_frozen():
+    ps = make_prime_set("congruence", 100, modulus=4, residues=(1,))
+    for name, value in (("limit", 200), ("sq_bitmap", np.ones(101, dtype=bool))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ps, name, value)
