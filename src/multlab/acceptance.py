@@ -330,7 +330,7 @@ def _rough_scaled(ctx: Context) -> dict[str, list[float]]:
         ps = ctx.prime_set(kind, ROUGH_X)
         vals = []
         for z in ROUGH_Z_GRID:
-            c = count_rough(ps, ROUGH_X, z).value
+            c = count_rough(ps, ROUGH_X, z)
             vals.append(c * math.log(ROUGH_X) ** (1.0 - delta)
                         * math.log(z) ** delta / ROUGH_X)
         out[kind] = vals

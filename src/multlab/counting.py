@@ -14,12 +14,13 @@ segmented bitmap over [1, N^2], one strided write per a, from a row bound
 that skips the products a smaller row writes; a sparse set sorts the member
 products a*b chunk by chunk and counts the distinct ones.  Only the
 exhaustive H_Q method builds S_Q another way, as products of Q-primes.
+The kernels return counts and the method they ran; timing a run is the
+experiments' reporter's job.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -36,8 +37,6 @@ HQ_METHODS = ("divisor-multiples", "exhaustive")
 class CountResult:
     value: int
     method: str
-    elapsed: float
-    warning: str | None = None
 
 
 def _sq_bitmap(ps: PrimeSet, x: int) -> np.ndarray:
@@ -54,8 +53,6 @@ _div_table: tuple[int, np.ndarray, np.ndarray] | None = None
 
 def _divisor_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     global _div_table
-    if n_max > MAX_X_EXHAUSTIVE:
-        raise ValueError(f"exhaustive method capped at x <= {MAX_X_EXHAUSTIVE}")
     if _div_table is not None and _div_table[0] >= n_max:
         return _div_table[1], _div_table[2]
     n = int(n_max)
@@ -95,27 +92,25 @@ def count_hq(
     in (y, z], keep the marked cells that lie in S_Q, count them once.
     method "exhaustive": walk S_Q itself and look each member up in the
     divisor table, through one prefix count of the in-range divisors.  The
-    two share no counting logic.
+    two share no counting logic.  A z >= x reads as (y, x], so z may be +inf.
     """
-    t0 = time.perf_counter()
-    if x < 1:
-        raise ValueError(f"count_hq requires x >= 1, got {x}")
-    if y < 0 or z < 0:
-        raise ValueError("count_hq requires y, z >= 0")
+    if not 1 <= x < math.inf:
+        raise ValueError(f"count_hq requires a finite x >= 1, got {x}")
+    if not (0 <= y < math.inf and z >= 0):
+        raise ValueError(f"count_hq requires a finite y >= 0 and z >= 0, got {y}, {z}")
     if method not in HQ_METHODS:
         raise ValueError(f"unknown count_hq method {method!r}")
     xi = int(math.floor(x))
     if ps.limit < xi:
         raise ValueError(f"prime set materialized to {ps.limit} < x = {xi}")
-    if y >= z:
-        return CountResult(0, method, time.perf_counter() - t0,
-                           warning="empty divisor interval (y >= z)")
+    if method == "exhaustive" and xi > MAX_X_EXHAUSTIVE:
+        raise ValueError(f"exhaustive method capped at x <= {MAX_X_EXHAUSTIVE}")
     d_lo = int(math.floor(y)) + 1
-    d_hi = min(int(math.floor(z)), xi)
+    d_hi = xi if z >= xi else int(math.floor(z))
+    if d_lo > d_hi:  # no integer in (y, min(z, x)], as when y >= z
+        return CountResult(0, method)
 
     if method == "divisor-multiples":
-        if d_lo > d_hi:
-            return CountResult(0, method, time.perf_counter() - t0)
         # exact because S_Q is closed under divisors: a member with a divisor
         # in (y, z] is a multiple of a member there
         bm = _sq_bitmap(ps, xi)
@@ -123,8 +118,7 @@ def count_hq(
         for d in (np.flatnonzero(bm[d_lo : d_hi + 1]) + d_lo).tolist():
             marked[d::d] = True
         marked &= bm
-        value = int(np.count_nonzero(marked))
-        return CountResult(value, method, time.perf_counter() - t0)
+        return CountResult(int(np.count_nonzero(marked)), method)
 
     offsets, divs = _divisor_table(xi)
     # hits[i] counts the in-range entries among the first i of the table, so
@@ -137,7 +131,7 @@ def count_hq(
     del in_range
     members = enumerate_sq(ps, xi)
     value = int(np.count_nonzero(hits[offsets[members + 1]] > hits[offsets[members]]))
-    return CountResult(value, method, time.perf_counter() - t0)
+    return CountResult(value, method)
 
 
 def count_sq(ps: PrimeSet, x: float) -> int:
@@ -249,12 +243,11 @@ def count_aq(ps: PrimeSet, n_bound: int) -> CountResult:
     and "segmented-bitmap" otherwise; the set of all primes, with
     W = m(m+1)/2, always takes the bitmap.  Both kernels give the same count.
     """
-    t0 = time.perf_counter()
-    n_bound = int(n_bound)
-    if n_bound < 1:
+    if not n_bound >= 1:
         raise ValueError(f"count_aq requires N >= 1, got {n_bound}")
-    if n_bound > MAX_N_AQ:
+    if n_bound >= MAX_N_AQ + 1:
         raise ValueError(f"count_aq capped at N <= {MAX_N_AQ}, got {n_bound}")
+    n_bound = int(n_bound)
     bm = _sq_bitmap(ps, n_bound)
     members = np.flatnonzero(bm)
     m = members.size
@@ -262,14 +255,13 @@ def count_aq(ps: PrimeSet, n_bound: int) -> CountResult:
         value, method = _aq_sorted(members, n_bound), "sorted-products"
     else:
         value, method = _aq_bitmap(bm, n_bound), "segmented-bitmap"
-    return CountResult(value, method, time.perf_counter() - t0)
+    return CountResult(value, method)
 
 
-def count_rough(ps: PrimeSet, x: float, z: float) -> CountResult:
+def count_rough(ps: PrimeSet, x: float, z: float) -> int:
     """#{n <= x : n in S_Q, P-(n) > z}; includes n = 1."""
-    t0 = time.perf_counter()
-    if x < 1:
-        raise ValueError(f"count_rough requires x >= 1, got {x}")
+    if not 1 <= x < math.inf or math.isnan(z):
+        raise ValueError(f"count_rough requires a finite x >= 1 and a z, got {x}, {z}")
     xi = int(math.floor(x))
     bm = _sq_bitmap(ps, xi).copy()  # mutated below; the set's bitmap is read-only
     k = bisect_right(ps.members, z)
@@ -279,5 +271,4 @@ def count_rough(ps: PrimeSet, x: float, z: float) -> CountResult:
             break
         bm[q::q] = False
     bm[1] = True  # P-(1) = +inf exceeds any z
-    value = int(np.count_nonzero(bm[1:]))
-    return CountResult(value, "bitmap", time.perf_counter() - t0)
+    return int(np.count_nonzero(bm[1:]))

@@ -5,7 +5,8 @@ as they are, and runs the experiment's run_* body, which range-checks it, runs
 the grid and hands its tables to a reporter that writes them plus a JSON
 manifest into the output directory.
 CSV bodies are pure functions of the config; wall-clock data lives only in the
-manifest, so identical configs give byte-identical CSVs.
+manifest, as the sections a body times with rep.section, so identical configs
+give byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -116,13 +117,15 @@ class _Reporter:
         self.files: dict[str, str] = {}
 
     @contextmanager
-    def section(self, name: str):
-        """Time the body; its {name, elapsed_s} goes to the manifest's
-        summary["sections"], in the order the sections ran."""
+    def section(self, name: str, **fields):
+        """Time the body, which gets the entry {name, **fields} and may add
+        to it; the entry, with elapsed_s, goes to the manifest's
+        summary["sections"], in the order the sections ended."""
+        entry = {"name": name, **fields}
         t0 = time.perf_counter()
-        yield
-        self.result.summary.setdefault("sections", []).append(
-            {"name": name, "elapsed_s": round(time.perf_counter() - t0, 6)})
+        yield entry
+        entry["elapsed_s"] = round(time.perf_counter() - t0, 6)
+        self.result.summary.setdefault("sections", []).append(entry)
 
     def add_table(self, stem: str, header: list[str], rows: list[dict]) -> None:
         self.result.tables[stem] = rows
@@ -201,25 +204,23 @@ def run_hq_scan(cfg: dict, rep: _Reporter) -> None:
                           f"{MAX_X_EXHAUSTIVE}, got {max(x_grid)}")
 
     rows = []
-    timings = []  # manifest only: wall-clock data never enters the CSV
+    method = cfg["method"]
     for desc in cfg["prime_sets"]:
-        ps = resolve_prime_set(desc, limit, cfg["seed"])
-        rep.prime_audits.append(audit_summary(ps))
+        with rep.section("prime_set", q=desc):
+            ps = resolve_prime_set(desc, limit, cfg["seed"])
+            rep.prime_audits.append(audit_summary(ps))
         for x in x_grid:
             for y in y_grid:
                 z = zf * y
-                res = count_hq(ps, x, y, z, method=cfg["method"])
+                with rep.section("count_hq", q=desc, x=x, y=y, z=z, method=method):
+                    count = count_hq(ps, x, y, z, method=method).value
                 pred = main_term(x, y, ps.delta)
                 rows.append({
                     "q": desc, "x": x, "y": y, "z": z,
-                    "delta": ps.delta, "count": res.value, "predictor": pred,
-                    "ratio": res.value / pred,
+                    "delta": ps.delta, "count": count, "predictor": pred,
+                    "ratio": count / pred,
                 })
-                timings.append({"q": desc, "x": x, "y": y, "z": z,
-                                "method": res.method,
-                                "elapsed_seconds": round(res.elapsed, 6)})
         del ps  # else its bitmap lives on while the next set builds its own
-    rep.result.summary["count_hq"] = timings
     rep.add_table("hq_scan",
                   ["q", "x", "y", "z", "delta", "count", "predictor", "ratio"],
                   rows)
@@ -247,23 +248,22 @@ def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
     limit = max(n_grid[-1], AUDIT_X_MIN)
 
     rows = []
-    timings = []  # manifest only, as in hq-scan
     slopes = {}
     for desc in cfg["prime_sets"]:
-        ps = resolve_prime_set(desc, limit, cfg["seed"])
-        rep.prime_audits.append(audit_summary(ps))
+        with rep.section("prime_set", q=desc):
+            ps = resolve_prime_set(desc, limit, cfg["seed"])
+            rep.prime_audits.append(audit_summary(ps))
         ratios = []
         for n in n_grid:
             sq = count_sq(ps, n)
-            res = count_aq(ps, n)
-            aq = res.value
-            timings.append({"q": desc, "n": n, "method": res.method,
-                            "elapsed_seconds": round(res.elapsed, 6)})
-            ratio = aq / sq**2
+            with rep.section("count_aq", q=desc, n=n) as sec:
+                res = count_aq(ps, n)
+                sec["method"] = res.method
+            ratio = res.value / sq**2
             ratios.append(ratio)
             rows.append({
                 "q": desc, "delta": ps.delta, "n": n, "sq_count": sq,
-                "aq_count": aq, "ratio": ratio,
+                "aq_count": res.value, "ratio": ratio,
             })
         if len(n_grid) >= 2:
             slope = float(np.polyfit(np.log(n_grid), np.log(ratios), 1)[0])
@@ -273,7 +273,6 @@ def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
         slopes[desc] = {"slope": slope, "trend": trend, "delta": ps.delta}
         del ps  # else its bitmap lives on while the next set builds its own
     rep.result.summary["slopes"] = slopes
-    rep.result.summary["count_aq"] = timings
     rep.add_table("aq_dichotomy",
                   ["q", "delta", "n", "sq_count", "aq_count", "ratio"],
                   rows)
@@ -304,19 +303,20 @@ def run_poisson_phase(cfg: dict, rep: _Reporter) -> None:
         if not (min(lam_grid) > 0 and min(v_grid) >= 1 and 0 < eps < 1):
             raise ConfigError("poisson-phase: need every lambda > 0, every v >= 1 "
                               "and 0 < epsilon < 1")
-        rows = []
-        for v in v_grid:
-            for lam in lam_grid:
-                r = classify_regime(lam, v, eps)
-                rows.append({
-                    "lambda": lam, "v": v, "theta": r.theta,
-                    "regime": r.regime, "exact_sum_log": r.log_exact_sum,
-                    "envelope_log": r.log_envelope, "ratio": r.ratio,
-                })
-        rep.add_table("poisson_phase",
-                      ["lambda", "v", "theta", "regime", "exact_sum_log",
-                       "envelope_log", "ratio"],
-                      rows)
+        with rep.section("regimes"):
+            rows = []
+            for v in v_grid:
+                for lam in lam_grid:
+                    r = classify_regime(lam, v, eps)
+                    rows.append({
+                        "lambda": lam, "v": v, "theta": r.theta,
+                        "regime": r.regime, "exact_sum_log": r.log_exact_sum,
+                        "envelope_log": r.log_envelope, "ratio": r.ratio,
+                    })
+            rep.add_table("poisson_phase",
+                          ["lambda", "v", "theta", "regime", "exact_sum_log",
+                           "envelope_log", "ratio"],
+                          rows)
 
     if cfg["include_gcurve"]:
         d0, d1, step, lly = (cfg[key] for key in ("delta_min", "delta_max",
@@ -329,16 +329,17 @@ def run_poisson_phase(cfg: dict, rep: _Reporter) -> None:
             raise ConfigError(f"poisson-phase: delta curve capped at {MAX_GCURVE_ROWS} "
                               f"rows, got delta_step {step!r}")
         count = int(math.floor(span)) + 1
-        rows = []
-        for i in range(count):
-            d = min(d0 + i * step, 1.0)
-            rows.append({
-                "delta": d, "g_exponent": g_exponent(d),
-                "e_factor": e_factor(lly, d), "loglog_y": lly,
-            })
-        rep.add_table("poisson_phase_gcurve",
-                      ["delta", "g_exponent", "e_factor", "loglog_y"],
-                      rows)
+        with rep.section("gcurve"):
+            rows = []
+            for i in range(count):
+                d = min(d0 + i * step, 1.0)
+                rows.append({
+                    "delta": d, "g_exponent": g_exponent(d),
+                    "e_factor": e_factor(lly, d), "loglog_y": lly,
+                })
+            rep.add_table("poisson_phase_gcurve",
+                          ["delta", "g_exponent", "e_factor", "loglog_y"],
+                          rows)
 
 
 SMIRNOV_DEFAULTS = {

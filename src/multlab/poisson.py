@@ -174,13 +174,10 @@ def main_term(x: float, y: float, delta: float) -> float:
 @dataclass
 class RegimeReport:
     regime: str  # "i" .. "v"
-    lam: float
-    v: int
     theta: float
     log_exact_sum: float
     log_envelope: float
     ratio: float  # exact / envelope
-    log_last_term: float  # a_v = lam^v / (v! * v)
 
 
 def classify_regime(lam: float, v: int, epsilon: float) -> RegimeReport:
@@ -218,8 +215,4 @@ def classify_regime(lam: float, v: int, epsilon: float) -> RegimeReport:
         regime = "ii"
         log_env = v * log_lam - math.lgamma(v + 2)
     log_exact = poisson_sum_log(lam, v)
-    log_a_v = v * log_lam - math.lgamma(v + 1) - math.log(v)
-    return RegimeReport(
-        regime, lam, v, theta, log_exact, log_env,
-        math.exp(log_exact - log_env), log_a_v,
-    )
+    return RegimeReport(regime, theta, log_exact, log_env, math.exp(log_exact - log_env))

@@ -82,19 +82,20 @@ def _splitmix64(x: np.ndarray | int):
     return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimeSet:
     """A materialized prime set: members, nominal density, provenance, and
     the read-only membership bitmap of S_Q over [0, limit], True at n iff all
     prime factors of n are in Q (index 0 False, index 1 True).  Built by
-    make_prime_set, which fills every field from one sieve."""
+    make_prime_set, which fills every field from one sieve.  Sets compare
+    and hash by identity: their fields are arrays."""
 
     kind: str  # "all" | "congruence" | "thinned"
     limit: int
     delta: float
     members: np.ndarray  # ascending int64
     params: dict
-    sq_bitmap: np.ndarray = field(repr=False, compare=False)
+    sq_bitmap: np.ndarray = field(repr=False)
 
     def descriptor(self) -> dict:
         """JSON-safe summary used in manifests and count results."""
@@ -229,7 +230,6 @@ class DensityAudit:
     """
 
     kappa_hat: float
-    grid: tuple[float, ...]
     worst_x: float
     mertens_constant_hat: float
 
@@ -252,4 +252,4 @@ def density_audit(ps: PrimeSet, grid) -> DensityAudit:
 
     x_top = grid[-1]
     c_hat = mertens_sum(ps, x_top) - ps.delta * math.log(math.log(x_top))
-    return DensityAudit(kappa_hat, tuple(grid), worst_x, c_hat)
+    return DensityAudit(kappa_hat, worst_x, c_hat)

@@ -213,6 +213,20 @@ def test_internal_error_exits_3_with_traceback(tmp_path, capsys, monkeypatch):
     assert not err.startswith("error: ")
 
 
+def test_hq_scan_z_past_float_range_counts_up_to_x(tmp_path):
+    # z = 1e305 * 5e4 overflows to inf, which counts divisors in (y, x]
+    counts = []
+    for z_factor in ("1e305", "2.0"):
+        cfg = write_cfg(tmp_path, "prime_sets = [all]\nlimit = 100000\n"
+                        "x_grid = [100000]\ny_grid = [50000.0]\n"
+                        f"z_factor = {z_factor}\n")
+        out = tmp_path / z_factor
+        assert main(["hq-scan", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "hq_scan.csv", newline="", encoding="utf-8") as fh:
+            counts.append(int(next(csv.DictReader(fh))["count"]))
+    assert counts[0] == counts[1] > 0
+
+
 def test_aq_dichotomy_single_point(tmp_path):
     cfg = write_cfg(tmp_path, "prime_sets = [all]\nn_grid = [100]\nseed = 3\n")
     out = tmp_path / "aq"

@@ -49,12 +49,48 @@ def test_count_hq_unit_divisor(ps_all):
     assert count_hq(ps_all, 10, 0.5, 1.5).value == 10
 
 
-def test_count_hq_empty_interval_warning(ps_all):
-    res = count_hq(ps_all, 100, 6, 6)
-    assert res.value == 0
-    assert "empty divisor interval" in res.warning
-    # (y, z] free of integers is a silent zero, not a warning
-    assert count_hq(ps_all, 100, 6.2, 6.8).value == 0
+def test_count_hq_empty_interval_is_zero(ps_all, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a kernel ran on an empty interval")
+
+    monkeypatch.setattr(counting, "_divisor_table", forbidden)
+    monkeypatch.setattr(counting, "_sq_bitmap", forbidden)
+    # y >= z, (y, z] free of integers, and y >= x
+    for y, z in ((6, 6), (7, 6), (6.2, 6.8), (100, 200)):
+        for method in counting.HQ_METHODS:
+            assert count_hq(ps_all, 100, y, z, method=method) == (
+                counting.CountResult(0, method))
+    # the exhaustive cap is checked before the interval
+    big = dataclasses.replace(ps_all, limit=counting.MAX_X_EXHAUSTIVE + 1)
+    with pytest.raises(ValueError, match="exhaustive method capped"):
+        count_hq(big, counting.MAX_X_EXHAUSTIVE + 1, 6, 6, method="exhaustive")
+
+
+def test_count_hq_reads_z_past_x_as_x(ps_all):
+    for method in counting.HQ_METHODS:
+        at_x = count_hq(ps_all, 1000, 40, 1000, method=method).value
+        assert at_x > 0
+        for z in (1000.5, 5000, math.inf):
+            assert count_hq(ps_all, 1000, 40, z, method=method).value == at_x
+
+
+@pytest.mark.parametrize("x, y, z", [
+    (math.nan, 1, 2), (math.inf, 1, 2), (10, math.nan, 2), (10, math.inf, math.inf),
+    (10, 1, math.nan), (10, -math.inf, 2),
+])
+def test_count_hq_rejects_non_finite_input(ps_all, x, y, z):
+    for method in counting.HQ_METHODS:
+        with pytest.raises(ValueError, match="count_hq requires"):
+            count_hq(ps_all, x, y, z, method=method)
+
+
+def test_count_aq_and_count_rough_reject_non_finite_input(ps_all):
+    for n in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="count_aq"):
+            count_aq(ps_all, n)
+    for x, z in ((math.inf, 3), (math.nan, 3), (100, math.nan)):
+        with pytest.raises(ValueError, match="count_rough requires"):
+            count_rough(ps_all, x, z)
 
 
 def test_count_hq_validation(ps_all):
@@ -246,10 +282,11 @@ def test_count_aq_validation(ps_all):
 
 
 def test_count_rough_known_values(ps_all):
-    assert count_rough(ps_all, 30, 3).value == 10
+    assert count_rough(ps_all, 30, 3) == 10
     # above z = sqrt(x) only 1 and the primes in (z, x] survive
-    assert count_rough(ps_all, 10_000, 100).value == 1 + 1229 - 25
-    assert count_rough(ps_all, 100, 100).value == 1
+    assert count_rough(ps_all, 10_000, 100) == 1 + 1229 - 25
+    assert count_rough(ps_all, 100, 100) == 1
+    assert count_rough(ps_all, 100, math.inf) == 1
 
 
 def test_count_rough_matches_brute_force(ps_1mod4):
@@ -259,7 +296,7 @@ def test_count_rough_matches_brute_force(ps_1mod4):
             for n in range(1, 401)
             if in_sq(ps_1mod4, n) and all(p > z for p, _ in factorize(n))  # P-(n) > z
         )
-        assert count_rough(ps_1mod4, 400, z).value == expected
+        assert count_rough(ps_1mod4, 400, z) == expected
 
 
 def test_count_sq_matches_enumeration(ps_1mod4, ps_all):

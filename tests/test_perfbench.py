@@ -3,6 +3,7 @@ functions in `tracing.TRACED` and its workloads call those in `make_api()`.
 A rename or deletion in src that drops one of them fails here, not only in a
 traced benchmark run."""
 
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -44,4 +45,7 @@ def test_tracer_hooks_read_existing_arguments(perfbench):
     for name in tracing.MC_FUNCTIONS:
         assert "n_samples" in params("orderstats", name), name
     assert {"method", "x", "y", "z"} <= params("counting", "count_hq")
+    # the workloads read .value and the count_aq hook reads .method
+    from multlab.counting import CountResult
+    assert {"value", "method"} <= {f.name for f in dataclasses.fields(CountResult)}
     assert "block_fn" in params("rng", "run_blocks")

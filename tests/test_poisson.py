@@ -282,7 +282,9 @@ def test_classify_regime_report_consistency():
         assert rep.ratio == pytest.approx(
             math.exp(rep.log_exact_sum - rep.log_envelope), rel=1e-12
         )
-        assert rep.log_last_term <= rep.log_exact_sum + 1e-12
+        # the sum dominates its last term a_v = lam^v / (v! * v)
+        log_a_v = v * math.log(lam) - math.lgamma(v + 1) - math.log(v)
+        assert log_a_v <= rep.log_exact_sum + 1e-12
     assert seen == {"i", "ii", "iii", "iv", "v"}
 
 

@@ -131,7 +131,6 @@ def test_density_audit_grid_validation(ps_all):
 def test_density_audit_csv_rows_consistent(ps_all):
     grid = [100.0, 1000.0, 10_000.0]
     audit = density_audit(ps_all, grid)
-    assert audit.grid == tuple(grid)
     scaled = [abs(pi_q(ps_all, x) - ps_all.delta * x / math.log(x))
               * math.log(x) ** 2 / x for x in grid]
     assert audit.kappa_hat == pytest.approx(max(scaled), rel=1e-12)
@@ -220,3 +219,12 @@ def test_prime_set_is_frozen():
     for name, value in (("limit", 200), ("sq_bitmap", np.ones(101, dtype=bool))):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(ps, name, value)
+
+
+def test_prime_sets_compare_and_hash_by_identity():
+    ps = make_prime_set("congruence", 100, modulus=4, residues=(1,))
+    twin = make_prime_set("congruence", 100, modulus=4, residues=(1,))
+    assert ps == ps and ps != twin
+    assert {ps, twin} == {twin, ps} and len({ps, ps}) == 1
+    moved = dataclasses.replace(ps, limit=50)
+    assert moved.limit == 50 and moved != ps
