@@ -7,7 +7,8 @@ kept deliberately separate so they cross-validate each other.  S_Q membership
 up to x is a view of the prime set's own bitmap, built with the set, to its
 limit.  No kernel branches on the kind of prime set.  Because S_Q is closed
 under divisors, the divisor-multiples method marks the multiples of the members
-d in (y, z] and intersects the marks with the bitmap once.  A_Q reads its
+d in (y, z] and intersects the marks with the bitmap, one cache-sized window of
+[0, x] at a time, reusing one buffer.  A_Q reads its
 members a from the bitmap too and has two exact kernels, chosen by the density
 of S_Q(N): a dense set ORs the bitmap's window of b into the cells a*b of a
 segmented bitmap over [1, N^2], one strided write per a, from a row bound
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divisors import _smallest_prime_factors, enumerate_sq
+from . import primes
 from .primes import PrimeSet
 
 MAX_X_EXHAUSTIVE = 1 << 21
@@ -89,7 +91,9 @@ def count_hq(
     """H_Q(x, y, z): members of S_Q up to x with a divisor in (y, z].
 
     method "divisor-multiples": mark the multiples of each member d of S_Q
-    in (y, z], keep the marked cells that lie in S_Q, count them once.
+    in (y, z], keep the marked cells that lie in S_Q and count them, one
+    window of [0, x] at a time: at most one window per primes.SIEVE_SEGMENT
+    cells, and few enough that the sparsest row writes 256 cells in each.
     method "exhaustive": walk S_Q itself and look each member up in the
     divisor table, through one prefix count of the in-range divisors.  The
     two share no counting logic.  A z >= x reads as (y, x], so z may be +inf.
@@ -114,11 +118,32 @@ def count_hq(
         # exact because S_Q is closed under divisors: a member with a divisor
         # in (y, z] is a multiple of a member there
         bm = _sq_bitmap(ps, xi)
-        marked = np.zeros(xi + 1, dtype=bool)
-        for d in (np.flatnonzero(bm[d_lo : d_hi + 1]) + d_lo).tolist():
-            marked[d::d] = True
-        marked &= bm
-        return CountResult(int(np.count_nonzero(marked)), method)
+        ds = (np.flatnonzero(bm[d_lo : d_hi + 1]) + d_lo).tolist()
+        if not ds:
+            return CountResult(0, method)
+        # Windows over [0, x]: at most one per SIEVE_SEGMENT cells, and few
+        # enough that the last row, the sparsest, writes 256 cells or more in
+        # each, so a broad (y, z] of short rows takes one window.  The first
+        # window marks each row d from d itself, with no arithmetic per row
+        # (a broad (y, z] has millions), and a later one from the first
+        # multiple of d at or past lo, at offset -lo mod d.
+        windows = max(1, min(-(-(xi + 1) // primes.SIEVE_SEGMENT), xi // ds[-1] // 256))
+        width = -(-(xi + 1) // windows)
+        marked = np.zeros(width, dtype=bool)
+        value = 0
+        for lo in range(0, xi + 1, width):
+            window = marked[: xi + 1 - lo]
+            if lo == 0:
+                for d in ds:
+                    window[d::d] = True
+            else:
+                window[:] = False
+                neg = -lo
+                for d in ds:
+                    window[neg % d :: d] = True
+            window &= bm[lo : lo + width]
+            value += int(np.count_nonzero(window))
+        return CountResult(value, method)
 
     offsets, divs = _divisor_table(xi)
     # hits[i] counts the in-range entries among the first i of the table, so
@@ -136,6 +161,8 @@ def count_hq(
 
 def count_sq(ps: PrimeSet, x: float) -> int:
     """|S_Q intersect [1, x]|."""
+    if not -math.inf < x < math.inf:
+        raise ValueError(f"count_sq requires a finite x, got {x}")
     xi = int(math.floor(x))
     if xi < 1:
         return 0

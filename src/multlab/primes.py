@@ -24,7 +24,10 @@ MAX_X_BITMAP = 1 << 31
 # factorize finds every prime factor of a modulus up to 2^32 in its table of
 # the primes below 2^16, so phi(modulus) costs one pass over that table at most
 MAX_MODULUS = 1 << 32
-SIEVE_SEGMENT = 1 << 20  # odd numbers per segment of sieve_primes
+# cells per cache-sized window of the three sieves: odd numbers per segment of
+# sieve_primes, integers per window of the complement sieve and of count_hq's
+# divisor-multiples marks
+SIEVE_SEGMENT = 1 << 20
 MERTENS_BLOCK = 1 << 15  # members per block of mertens_sum
 AUDIT_X_MIN = 16  # the smallest x of a density audit grid
 
@@ -111,18 +114,26 @@ class PrimeSet:
 def _complement_sieve(limit: int, excluded: np.ndarray) -> np.ndarray:
     """Read-only bitmap of S_Q over [0, limit], from the ascending primes
     <= limit outside Q: clears their multiples, strided per prime up to
-    sqrt(limit), per cofactor beyond it."""
+    sqrt(limit) one window of SIEVE_SEGMENT cells at a time, then per
+    cofactor k in S_Q beyond it."""
     x = int(limit)
     bm = np.ones(x + 1, dtype=bool)
     bm[0] = False
     split = int(np.searchsorted(excluded, math.isqrt(x), side="right"))
-    for p in excluded[:split].tolist():
-        bm[p::p] = False
+    small = excluded[:split]
+    for lo in range(0, x + 1, SIEVE_SEGMENT):
+        window = bm[lo : lo + SIEVE_SEGMENT]
+        # each p's first multiple >= max(lo, p), as an offset into the window
+        starts = np.maximum(small, -(-lo // small) * small) - lo
+        for p, s in zip(small.tolist(), starts.tolist()):
+            window[s::p] = False
     # A multiple k*p <= x of an excluded p > sqrt(x) has k < sqrt(x), so
-    # loop over the cofactor k and clear every such p at once.
+    # loop over the cofactor k and clear every such p at once.  A k with an
+    # excluded factor q <= k < sqrt(x) is already False, and so is every k*p,
+    # a multiple of q: only the k still True need the loop.
     large = excluded[split:]
     k_max = x // int(large[0]) if len(large) else 0
-    for k in range(1, k_max + 1):
+    for k in (np.flatnonzero(bm[1 : k_max + 1]) + 1).tolist():
         bm[large[: np.searchsorted(large, x // k, side="right")] * k] = False
     bm.flags.writeable = False
     return bm

@@ -4,6 +4,7 @@ and rough numbers."""
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from multlab import (
     enumerate_sq,
     factorize,
 )
+from multlab import primes
 from multlab.divisors import _smallest_prime_factors, l_measure
 from multlab.experiments import resolve_prime_set
 from multlab.primes import LOG2, PrimeSet, _complement_sieve, make_prime_set, sieve_primes
@@ -137,6 +139,41 @@ def test_count_hq_methods_agree(ps_all, ps_1mod4, ps_thinned):
         a = count_hq(ps, x, y, z, method="divisor-multiples")
         b = count_hq(ps, x, y, z, method="exhaustive")
         assert a.value == b.value
+
+
+@pytest.mark.parametrize("seg", (16, 100, 257))
+def test_count_hq_windows_are_invisible(ps_all, ps_1mod4, ps_thinned, monkeypatch, seg):
+    monkeypatch.setattr(primes, "SIEVE_SEGMENT", seg)
+    cases = [
+        (100_000, 0, 1),  # d = 1 alone: every window edge is a multiple
+        (100_000, 1, 3), (99_999, 5.5, 12), (77_777, 40, 48), (100_000, 150, 390),
+        (seg + 30, 40, math.inf),  # x + 1 below one window
+        (100_000, 150, math.inf), (3000, 0, math.inf),
+    ]
+    rng = random.Random(seg)
+    for _ in range(12):  # narrow (y, z] of small d: windows whose edges d divides
+        x = rng.randint(2, 100_000)
+        y = rng.uniform(0, 200)
+        cases.append((x, y, y + rng.uniform(0, 60)))
+    for x, y, z in cases:
+        for ps in (ps_all, ps_1mod4, ps_thinned):
+            expected = count_hq(ps, x, y, z, method="exhaustive").value
+            assert count_hq(ps, x, y, z).value == expected, (ps.kind, x, y, z)
+
+
+def test_count_hq_marks_one_window_at_a_time(monkeypatch):
+    # a full-length marks array would take x bytes
+    x = 4_000_000
+    ps = make_prime_set("all", x)
+    tracemalloc.start()
+    try:
+        value = count_hq(ps, x, 100, 200).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x // 2, peak
+    monkeypatch.setattr(primes, "SIEVE_SEGMENT", 1 << 23)  # one window over [0, x]
+    assert count_hq(ps, x, 100, 200).value == value > 0
 
 
 def test_count_hq_monotone(ps_1mod4):
@@ -305,6 +342,12 @@ def test_count_sq_matches_enumeration(ps_1mod4, ps_all):
     assert count_sq(ps_1mod4, 800) == len(enumerate_sq(ps_1mod4, 800))
     assert count_sq(ps_all, 500) == 500
     assert count_sq(ps_all, 0) == 0
+
+
+def test_count_sq_rejects_non_finite_x(ps_all):
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="count_sq requires a finite x"):
+            count_sq(ps_all, x)
 
 
 def test_count_rough_leaves_cache_intact(ps_1mod4):

@@ -16,6 +16,8 @@ from multlab import (
 from multlab import primes
 from multlab.experiments import AUDIT_GRID_POINTS, audit_summary, resolve_prime_set
 
+from conftest import in_sq
+
 
 def primes_by_trial_division(limit):
     return [
@@ -40,6 +42,25 @@ def test_sieve_segmentation_is_invisible(monkeypatch):
     for seg in (16, 100, 257):
         monkeypatch.setattr(primes, "SIEVE_SEGMENT", seg)
         assert sieve_primes(10**4).tolist() == ref
+
+
+WINDOW_SETS = ("congruence:4:1", "congruence:3:2", "congruence:8:1+3",
+               "thinned:0.4:7", "thinned:0.7:20260825")
+
+
+def test_bitmap_windows_are_invisible(monkeypatch):
+    # the 3001 cells of [0, 3000] end in a short window at each size, and
+    # sqrt(3000) ~ 54 leaves excluded primes on both sides of the split
+    limit = 3000
+    sets = {desc: resolve_prime_set(desc, limit) for desc in WINDOW_SETS}
+    expected = {desc: [False] + [in_sq(ps, n) for n in range(1, limit + 1)]
+                for desc, ps in sets.items()}
+    for seg in (16, 100, 257):
+        monkeypatch.setattr(primes, "SIEVE_SEGMENT", seg)
+        for desc, ps in sets.items():
+            bm = resolve_prime_set(desc, limit).sq_bitmap
+            assert np.array_equal(bm, ps.sq_bitmap), (seg, desc)
+            assert bm.tolist() == expected[desc], (seg, desc)
 
 
 def test_sieve_rejects_tiny_limit():
