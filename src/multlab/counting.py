@@ -7,8 +7,9 @@ kept deliberately separate so they cross-validate each other.  S_Q membership
 up to x is a view of the prime set's own bitmap, built with the set, to its
 limit.  No kernel branches on the kind of prime set.  Because S_Q is closed
 under divisors, the divisor-multiples method marks the multiples of the members
-d in (y, z] and intersects the marks with the bitmap, one cache-sized window of
-[0, x] at a time, reusing one buffer.  A_Q reads its
+d in (y, z] and intersects the marks with the bitmap, and a rough count takes
+the multiples of the Q-primes up to z from S_Q, both by primes.mark_multiples
+one cache-sized window of [0, x] at a time.  A_Q reads its
 members a from the bitmap too and has two exact kernels, chosen by the density
 of S_Q(N): a dense set ORs the bitmap's window of b into the cells a*b of a
 segmented bitmap over [1, N^2], one strided write per a, from a row bound
@@ -81,6 +82,29 @@ def _divisor_table(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, divs
 
 
+def _count_multiples(bm: np.ndarray, xi: int, steps: np.ndarray) -> int:
+    """Cells n in [1, xi] set in bm that are a multiple of one of the ascending
+    int64 steps, marked one window of [0, xi] at a time in one buffer: at most
+    one window per primes.SIEVE_SEGMENT cells, and never so many that the
+    largest step writes fewer than 256 cells in one, so a broad set of steps
+    takes one window.  At most SIEVE_SEGMENT steps are Python ints at once."""
+    if not steps.size:
+        return 0
+    seg = primes.SIEVE_SEGMENT
+    windows = max(1, min(-(-(xi + 1) // seg), xi // int(steps[-1]) // 256))
+    width = -(-(xi + 1) // windows)
+    marked = np.zeros(width, dtype=bool)
+    value = 0
+    for lo in range(0, xi + 1, width):
+        window = marked[: xi + 1 - lo]
+        window[:] = False
+        for i in range(0, steps.size, seg):
+            primes.mark_multiples(window, lo, steps[i : i + seg].tolist(), True)
+        window &= bm[lo : lo + width]
+        value += int(np.count_nonzero(window))
+    return value
+
+
 def count_hq(
     ps: PrimeSet,
     x: float,
@@ -92,8 +116,7 @@ def count_hq(
 
     method "divisor-multiples": mark the multiples of each member d of S_Q
     in (y, z], keep the marked cells that lie in S_Q and count them, one
-    window of [0, x] at a time: at most one window per primes.SIEVE_SEGMENT
-    cells, and few enough that the sparsest row writes 256 cells in each.
+    window of [0, x] at a time (_count_multiples).
     method "exhaustive": walk S_Q itself and look each member up in the
     divisor table, through one prefix count of the in-range divisors.  The
     two share no counting logic.  A z >= x reads as (y, x], so z may be +inf.
@@ -118,32 +141,9 @@ def count_hq(
         # exact because S_Q is closed under divisors: a member with a divisor
         # in (y, z] is a multiple of a member there
         bm = _sq_bitmap(ps, xi)
-        ds = (np.flatnonzero(bm[d_lo : d_hi + 1]) + d_lo).tolist()
-        if not ds:
-            return CountResult(0, method)
-        # Windows over [0, x]: at most one per SIEVE_SEGMENT cells, and few
-        # enough that the last row, the sparsest, writes 256 cells or more in
-        # each, so a broad (y, z] of short rows takes one window.  The first
-        # window marks each row d from d itself, with no arithmetic per row
-        # (a broad (y, z] has millions), and a later one from the first
-        # multiple of d at or past lo, at offset -lo mod d.
-        windows = max(1, min(-(-(xi + 1) // primes.SIEVE_SEGMENT), xi // ds[-1] // 256))
-        width = -(-(xi + 1) // windows)
-        marked = np.zeros(width, dtype=bool)
-        value = 0
-        for lo in range(0, xi + 1, width):
-            window = marked[: xi + 1 - lo]
-            if lo == 0:
-                for d in ds:
-                    window[d::d] = True
-            else:
-                window[:] = False
-                neg = -lo
-                for d in ds:
-                    window[neg % d :: d] = True
-            window &= bm[lo : lo + width]
-            value += int(np.count_nonzero(window))
-        return CountResult(value, method)
+        ds = np.flatnonzero(bm[d_lo : d_hi + 1])
+        ds += d_lo
+        return CountResult(_count_multiples(bm, xi, ds), method)
 
     offsets, divs = _divisor_table(xi)
     # hits[i] counts the in-range entries among the first i of the table, so
@@ -286,16 +286,11 @@ def count_aq(ps: PrimeSet, n_bound: int) -> CountResult:
 
 
 def count_rough(ps: PrimeSet, x: float, z: float) -> int:
-    """#{n <= x : n in S_Q, P-(n) > z}; includes n = 1."""
+    """#{n <= x : n in S_Q, P-(n) > z}; includes n = 1.  An n > 1 of S_Q has
+    a prime factor <= z iff it is a multiple of a Q-prime <= min(z, x)."""
     if not 1 <= x < math.inf or math.isnan(z):
         raise ValueError(f"count_rough requires a finite x >= 1 and a z, got {x}, {z}")
     xi = int(math.floor(x))
-    bm = _sq_bitmap(ps, xi).copy()  # mutated below; the set's bitmap is read-only
-    k = bisect_right(ps.members, z)
-    for q in ps.members[:k]:
-        q = int(q)
-        if q > xi:
-            break
-        bm[q::q] = False
-    bm[1] = True  # P-(1) = +inf exceeds any z
-    return int(np.count_nonzero(bm[1:]))
+    bm = _sq_bitmap(ps, xi)
+    qs = ps.members[: bisect_right(ps.members, min(z, xi))]
+    return count_sq(ps, xi) - _count_multiples(bm, xi, qs)

@@ -18,7 +18,7 @@ from itertools import chain, count
 
 import numpy as np
 
-from .primes import LOG2, PrimeSet, sieve_primes
+from .primes import LOG2, PrimeSet, mark_multiples, sieve_primes
 
 MERGE_SLACK = 1e-12
 MAX_DIVISORS_L = 1 << 20
@@ -181,8 +181,7 @@ def _lw_blocks(n: int, spf: np.ndarray):
             count += live
             cof //= spf[cof]
         omega[a] = count
-    for k in range(2, math.isqrt(n) + 1):
-        omega[k * k :: k * k] = -1
+    mark_multiples(omega, 0, [k * k for k in range(2, math.isqrt(n) + 1)], -1)  # squareful
     for w in range(int(omega.max()) + 1):
         group = np.flatnonzero(omega == w)
         rows = max(1, _LW_BLOCK_CELLS >> w)

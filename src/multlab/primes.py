@@ -8,7 +8,9 @@ each prime independently with probability delta* (decided by a keyed hash, so
 the set is a pure function of the seed).  make_prime_set sieves once to the
 limit; the primes it keeps are the members, and the primes it leaves out
 build the set's S_Q bitmap by a complement sieve, so every set carries its
-bitmap from construction on.
+bitmap from construction on.  mark_multiples, the one kernel that writes a
+value into the multiples of some steps, serves that sieve, the counting
+module's H_Q and rough counts, and divisors.squarefree_lw's squareful marks.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ MAX_X_BITMAP = 1 << 31
 # factorize finds every prime factor of a modulus up to 2^32 in its table of
 # the primes below 2^16, so phi(modulus) costs one pass over that table at most
 MAX_MODULUS = 1 << 32
-# cells per cache-sized window of the three sieves: odd numbers per segment of
-# sieve_primes, integers per window of the complement sieve and of count_hq's
-# divisor-multiples marks
+# cells per cache-sized window of the sieves: odd numbers per segment of
+# sieve_primes, integers per window of mark_multiples; also the most steps the
+# counting module's marks hold as Python ints at once
 SIEVE_SEGMENT = 1 << 20
 MERTENS_BLOCK = 1 << 15  # members per block of mertens_sum
 AUDIT_X_MIN = 16  # the smallest x of a density audit grid
@@ -41,27 +43,19 @@ def sieve_primes(limit: int) -> np.ndarray:
     """
     if limit < 2:
         raise ValueError(f"sieve_primes requires limit >= 2, got {limit}")
-    limit = int(limit)
+    return _segmented_sieve(int(limit))
+
+
+def _segmented_sieve(limit: int) -> np.ndarray:
+    # the odd base primes up to sqrt(limit) come from this same sieve
     root = math.isqrt(limit)
-
-    # base primes up to sqrt(limit) by a plain odd sieve
-    base = np.ones((root + 1) // 2, dtype=bool)  # index i -> 2i+1
-    base[0] = False  # 1
-    for i in range(1, len(base)):
-        p = 2 * i + 1
-        if p * p > root:
-            break
-        if base[i]:
-            base[(p * p) // 2 :: p] = False
-    base_primes = 2 * np.nonzero(base)[0] + 1  # odd primes <= root
-
+    base_primes = _segmented_sieve(root)[1:].tolist() if root >= 3 else []
     chunks = [np.array([2], dtype=np.int64)]
     lo = 3  # stays odd: each step is 2 * SIEVE_SEGMENT, and the last ends the loop
     while lo <= limit:
         hi = min(lo + 2 * SIEVE_SEGMENT, limit + 1)
         seg = np.ones((hi - lo + 1) // 2, dtype=bool)  # index i -> lo + 2i
         for p in base_primes:
-            p = int(p)
             start = max(p * p, ((lo + p - 1) // p) * p)
             if start % 2 == 0:
                 start += p
@@ -70,6 +64,20 @@ def sieve_primes(limit: int) -> np.ndarray:
         chunks.append(lo + 2 * np.nonzero(seg)[0])  # intp: int64 on 64-bit builds
         lo = hi
     return np.concatenate(chunks)
+
+
+def mark_multiples(window: np.ndarray, lo: int, steps, value) -> None:
+    """Set window[n - lo] = value for each positive multiple n of each step
+    (ints >= 1) with lo <= n < lo + len(window).  The first window, lo = 0,
+    writes window[d::d] with no arithmetic per step; a later one starts at
+    -lo mod d."""
+    if lo == 0:
+        for d in steps:
+            window[d::d] = value
+    else:
+        neg = -lo
+        for d in steps:
+            window[neg % d :: d] = value
 
 
 def _splitmix64(x: np.ndarray | int):
@@ -113,20 +121,16 @@ class PrimeSet:
 
 def _complement_sieve(limit: int, excluded: np.ndarray) -> np.ndarray:
     """Read-only bitmap of S_Q over [0, limit], from the ascending primes
-    <= limit outside Q: clears their multiples, strided per prime up to
-    sqrt(limit) one window of SIEVE_SEGMENT cells at a time, then per
+    <= limit outside Q: clears their multiples by mark_multiples up to
+    sqrt(limit), one window of SIEVE_SEGMENT cells at a time, then per
     cofactor k in S_Q beyond it."""
     x = int(limit)
     bm = np.ones(x + 1, dtype=bool)
     bm[0] = False
     split = int(np.searchsorted(excluded, math.isqrt(x), side="right"))
-    small = excluded[:split]
+    small = excluded[:split].tolist()
     for lo in range(0, x + 1, SIEVE_SEGMENT):
-        window = bm[lo : lo + SIEVE_SEGMENT]
-        # each p's first multiple >= max(lo, p), as an offset into the window
-        starts = np.maximum(small, -(-lo // small) * small) - lo
-        for p, s in zip(small.tolist(), starts.tolist()):
-            window[s::p] = False
+        mark_multiples(bm[lo : lo + SIEVE_SEGMENT], lo, small, False)
     # A multiple k*p <= x of an excluded p > sqrt(x) has k < sqrt(x), so
     # loop over the cofactor k and clear every such p at once.  A k with an
     # excluded factor q <= k < sqrt(x) is already False, and so is every k*p,
@@ -137,6 +141,13 @@ def _complement_sieve(limit: int, excluded: np.ndarray) -> np.ndarray:
         bm[large[: np.searchsorted(large, x // k, side="right")] * k] = False
     bm.flags.writeable = False
     return bm
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a ValueError, not a truncation, when it is not integral."""
+    if int(value) != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def make_prime_set(
@@ -165,10 +176,10 @@ def make_prime_set(
     elif kind == "congruence":
         if modulus is None or residues is None:
             raise ValueError("congruence prime set needs modulus and residues")
-        m = int(modulus)
+        m = _integer("modulus", modulus)
         if not 2 <= m <= MAX_MODULUS:
             raise ValueError(f"modulus must be in [2, {MAX_MODULUS}], got {m}")
-        rset = sorted({int(a) % m for a in residues})
+        rset = sorted({_integer("residue", a) % m for a in residues})
         if not rset:
             raise ValueError("empty residue set")
         for a in rset:
@@ -182,9 +193,9 @@ def make_prime_set(
     elif kind == "thinned":
         if target_density is None or not (0.0 < target_density <= 1.0):
             raise ValueError(f"target_density must be in (0, 1], got {target_density}")
-        delta = float(target_density)
-        params = {"target_density": delta, "seed": int(seed)}
-        mixed_seed = _splitmix64(int(seed))
+        delta, seed = float(target_density), _integer("seed", seed)
+        params = {"target_density": delta, "seed": seed}
+        mixed_seed = _splitmix64(seed)
         h = _splitmix64(primes.astype(np.uint64) ^ np.uint64(mixed_seed))
         keep = h.astype(np.float64) / 2.0**64 < target_density  # h / 2^64 < 1: 1.0 keeps all
         del h

@@ -162,18 +162,59 @@ def test_count_hq_windows_are_invisible(ps_all, ps_1mod4, ps_thinned, monkeypatc
 
 
 def test_count_hq_marks_one_window_at_a_time(monkeypatch):
-    # a full-length marks array would take x bytes
+    # a full-length marks array, or a copy of the bitmap, would take x bytes
     x = 4_000_000
     ps = make_prime_set("all", x)
     tracemalloc.start()
     try:
         value = count_hq(ps, x, 100, 200).value
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rough = count_rough(ps, x, 1000)  # the primes <= 1000 leave room for windows
+        rough_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < x // 2, peak
+    assert rough_peak < x // 2, rough_peak
     monkeypatch.setattr(primes, "SIEVE_SEGMENT", 1 << 23)  # one window over [0, x]
     assert count_hq(ps, x, 100, 200).value == value > 0
+    assert count_rough(ps, x, 1000) == rough > 0
+
+
+def test_count_multiples_takes_at_most_a_segment_of_steps(ps_all, ps_thinned, monkeypatch):
+    seg = 64
+    monkeypatch.setattr(primes, "SIEVE_SEGMENT", seg)
+    mark, sizes = primes.mark_multiples, []
+
+    def spy(window, lo, steps, value):
+        sizes.append(len(steps))
+        mark(window, lo, steps, value)
+
+    monkeypatch.setattr(primes, "mark_multiples", spy)
+    for ps in (ps_all, ps_thinned):
+        for x, y, z in ((5000, 300, math.inf), (5000, 10, 800), (20_000, 2000, 2500)):
+            sizes.clear()
+            expected = count_hq(ps, x, y, z, method="exhaustive").value
+            assert count_hq(ps, x, y, z).value == expected, (ps.kind, x, y, z)
+            assert max(sizes) == seg, (ps.kind, x, y, z)  # full chunks, none larger
+
+
+@pytest.mark.parametrize("seg", (16, 257))
+def test_count_rough_is_sq_minus_hq_over_one_to_z(ps_all, ps_1mod4, ps_thinned,
+                                                  monkeypatch, seg):
+    # an n > 1 has a prime factor <= z iff it has a divisor in (1, z]
+    monkeypatch.setattr(primes, "SIEVE_SEGMENT", seg)
+    rng = random.Random(seg)
+    cases = [(20_000, math.inf), (1, 5), (3000, 0.5)]
+    for _ in range(10):
+        x = rng.randint(1, 20_000)
+        cases.append((x, rng.choice((rng.uniform(0, 300), rng.uniform(0, x), math.inf))))
+    for x, z in cases:
+        for ps in (ps_all, ps_1mod4, ps_thinned):
+            rough = count_rough(ps, x, z)
+            for method in counting.HQ_METHODS:
+                hq = count_hq(ps, x, 1, z, method=method).value
+                assert rough == count_sq(ps, x) - hq, (ps.kind, x, z, method)
 
 
 def test_count_hq_monotone(ps_1mod4):
@@ -471,7 +512,9 @@ def test_count_hq_methods_stay_independent(monkeypatch):
     ps = make_prime_set("congruence", x, modulus=4, residues=(1,))
     # the walk never reads the bitmap, so a blank one leaves its count as it is
     blank = dataclasses.replace(ps, sq_bitmap=np.zeros(x + 1, dtype=bool))
-    expected = count_hq(blank, x, y, z, method="exhaustive").value
+    with monkeypatch.context() as m:
+        m.setattr(primes, "mark_multiples", forbidden)
+        expected = count_hq(blank, x, y, z, method="exhaustive").value
     assert expected > 0
     with monkeypatch.context() as m:
         m.setattr(counting, "_divisor_table", forbidden)

@@ -63,6 +63,33 @@ def test_bitmap_windows_are_invisible(monkeypatch):
             assert bm.tolist() == expected[desc], (seg, desc)
 
 
+@pytest.mark.parametrize("dtype, fill, value", ((bool, False, True), (np.int8, 5, -1)))
+def test_mark_multiples_matches_brute_force(dtype, fill, value):
+    # steps longer than some windows, lo = 0, and lo values that steps divide
+    steps = [1, 2, 3, 7, 10, 12, 50, 101]
+    for lo in (0, 1, 10, 24, 49, 50, 70, 300):
+        for length in (1, 17, 40, 250):
+            for chosen in (steps, steps[3:], [101]):
+                window = np.full(length, fill, dtype=dtype)
+                primes.mark_multiples(window, lo, chosen, value)
+                expected = [value if n > 0 and any(n % d == 0 for d in chosen) else fill
+                            for n in range(lo, lo + length)]
+                assert window.tolist() == expected, (lo, length, chosen)
+
+
+def test_make_prime_set_rejects_non_integral_parameters():
+    # int() would truncate each of these into a valid set
+    for kwargs in ({"modulus": 4.5, "residues": [1]}, {"modulus": 4, "residues": [1.5]}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_prime_set("congruence", 100, **kwargs)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        make_prime_set("thinned", 100, target_density=0.5, seed=7.2)
+    # an integral float is an integer
+    ps = make_prime_set("congruence", 100, modulus=4.0, residues=[1.0])
+    assert ps.params == {"modulus": 4, "residues": [1]}
+    assert make_prime_set("thinned", 100, target_density=0.5, seed=7.0).params["seed"] == 7
+
+
 def test_sieve_rejects_tiny_limit():
     with pytest.raises(ValueError):
         sieve_primes(1)
