@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ConfigError
 from .counting import count_aq, count_hq, count_rough
-from .divisors import factorize, squarefree_lw
+from .divisors import factorize, log_table, squarefree_lw
 from .experiments import (
     DEFAULT_SEED,
     HQ_SCAN_DEFAULTS,
@@ -259,7 +259,8 @@ def _crit_lw(ctx: Context) -> tuple[bool, str]:
     l_of = np.zeros(LW_LIMIT // 3 + 1)
     checked = 0
     worst = None  # (a, check) at the smallest violating a, whatever the block order
-    for a, primes, la, wa in squarefree_lw(LW_LIMIT):
+    logs = log_table(LW_LIMIT // 2)  # every prime of an a with omega >= 2 is <= a / 2
+    for a, primes, la, wa in squarefree_lw(LW_LIMIT, logs):
         stored = a <= LW_LIMIT // 3
         l_of[a[stored]] = la[stored]
         omega = primes.shape[1]
@@ -268,7 +269,7 @@ def _crit_lw(ctx: Context) -> tuple[bool, str]:
         prefix = 0.0
         best = LOG2 * tau  # j = 0 term
         for j in range(1, omega + 1):
-            prefix += np.fromiter(map(math.log, primes[:, j - 1].tolist()), np.float64, a.size)
+            prefix += logs[primes[:, j - 1]] if omega > 1 else log_a
             best = np.minimum(best, 2.0 ** (omega - j) * (prefix + LOG2))
         fails = {
             "(i)": la > np.minimum(LOG2 * tau, LOG2 + log_a) + LW_EPS,
@@ -575,10 +576,10 @@ CRITERIA = (
 def select_criteria(filter_expr: str | None):
     if not filter_expr:
         return list(CRITERIA)
-    needle = filter_expr.lower()
-    picked = [c for c in CRITERIA
-              if needle in c[0] or needle in c[1].lower()
-              or any(needle in tag for tag in c[2])]
+    needles = [t for t in filter_expr.lower().split(",") if t]  # any one may match
+    picked = [c for c in CRITERIA if any(
+        needle in c[0] or needle in c[1].lower() or any(needle in tag for tag in c[2])
+        for needle in needles)]
     if not picked:
         raise ConfigError(f"filter {filter_expr!r} matches no criteria")
     return picked

@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run the acceptance suite")
     common(pv)
     pv.add_argument("--filter", metavar="NAME", default=None,
-                    help="run only criteria matching this id/name/tag substring")
+                    help="run only criteria matching any comma-separated id/name/tag substring")
     return parser
 
 

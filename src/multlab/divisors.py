@@ -7,8 +7,9 @@ Also the enumerator of S_Q, the integers composed only of primes from Q.
 Factorizations trial-divide by a fixed tuple of the primes below 2^16 and
 the odd numbers past it, so no prime list grows with the inputs.
 
-`squarefree_lw` gives L(a) and W(a) of every squarefree a <= n in array blocks;
-`l_measure`, `w_count`, `factorize` and `divisors` are its per-a reference.
+`squarefree_lw` gives L(a) and W(a) of every squarefree a <= n in array blocks
+from a `log_table`; `l_measure`, `w_count`, `factorize` and `divisors` are its
+per-a reference.
 """
 
 from __future__ import annotations
@@ -163,16 +164,24 @@ def _smallest_prime_factors(n: int) -> np.ndarray:
     return spf
 
 
-def squarefree_lw(n: int):
+def log_table(n: int) -> np.ndarray:
+    """float64 logs[d] = math.log(d) for 1 <= d <= n, and logs[0] = -inf."""
+    return np.fromiter(chain([-math.inf], map(math.log, range(1, n + 1))), np.float64, n + 1)
+
+
+def squarefree_lw(n: int, logs: np.ndarray | None = None):
     """Yield blocks (a, primes, L, W) that cover each squarefree a <= n once, by
     ascending omega(a) and then a: `a`, L and W have shape (m,), `primes` (m, omega)
-    holds each a's primes ascending, and L, W equal `l_measure`, `w_count` bit for bit."""
+    holds each a's primes ascending, and L, W equal `l_measure`, `w_count` bit for bit.
+    A proper divisor's log is read from `logs`, a `log_table` to n // 2 or past it that
+    a caller may share (built here when None); each a's own log is one math.log."""
     if n < 1:
         raise ValueError(f"squarefree_lw requires n >= 1, got {n}")
-    return _lw_blocks(n, _smallest_prime_factors(n))
+    logs = log_table(n // 2) if logs is None else logs
+    return _lw_blocks(n, _smallest_prime_factors(n), logs)
 
 
-def _lw_blocks(n: int, spf: np.ndarray):
+def _lw_blocks(n: int, spf: np.ndarray, logs: np.ndarray):
     omega = np.full(n + 1, -1, dtype=np.int8)  # omega(a) for squarefree a, else -1
     for lo in range(1, n + 1, _LW_BLOCK_CELLS):  # prime factors with multiplicity
         a = np.arange(lo, min(lo + _LW_BLOCK_CELLS, n + 1))
@@ -199,7 +208,9 @@ def _lw_blocks(n: int, spf: np.ndarray):
             hi = np.searchsorted(off.ravel(), (off + divs).ravel(), side="right")
             lo = np.searchsorted(off.ravel(), (off - divs // 2).ravel(), side="left")
             # L: runs end at gaps as in `l_measure`; math.log, as np.log differs in a few ulps
-            t = np.fromiter(map(math.log, divs.ravel().tolist()), np.float64).reshape(divs.shape)
+            t = np.empty(divs.shape)
+            t[:, :-1] = logs[divs[:, :-1]]  # the proper divisors; the largest is a
+            t[:, -1] = np.fromiter(map(math.log, a.tolist()), np.float64, a.size)
             gap = t[:, 1:] - LOG2 > t[:, :-1] + MERGE_SLACK
             edge = np.ones((a.size, 1), dtype=bool)
             first, last = np.concatenate([edge, gap], axis=1), np.concatenate([gap, edge], axis=1)

@@ -157,17 +157,18 @@ def _steck_determinant(lower: list[Fraction], k: int) -> Fraction:
     upper-Hessenberg, and the probability is k! det(M).  Each leading minor
     expands along its last column: D_0 = 1, D_j = sum_{e=1..j} (-1)^(e-1)
     (c_j^e / e!) D_{j-e}.  This takes every subdiagonal entry as 1; one that
-    is 0 has c_{j-e} = 0, so c_j = 0 too, as the bounds ascend.
+    is 0 has c_{j-e} = 0, so c_j = 0 too, as the bounds ascend.  It runs in
+    integers: with c_j = n_j / q over one common denominator q, E_j = j! q^j D_j
+    has E_0 = 1, E_j = sum_{e=1..j} (-1)^(e-1) C(j, e) n_j^e E_{j-e}, and the
+    probability is E_k / q^k.
     """
-    dets = [Fraction(1)]
-    for j in range(1, k + 1):
-        c = max(Fraction(0), 1 - lower[j - 1])
-        term, total = Fraction(1), Fraction(0)
-        for e in range(1, j + 1):
-            term *= -c / e  # (-c_j)^e / e!
-            total -= term * dets[j - e]
-        dets.append(total)
-    return dets[k] * math.factorial(k)
+    cs = [max(Fraction(0), 1 - b) for b in lower[:k]]
+    q = math.lcm(*(c.denominator for c in cs))
+    dets = [1]
+    for j, c in enumerate(cs, 1):
+        n = c.numerator * (q // c.denominator)
+        dets.append(-sum(math.comb(j, e) * (-n) ** e * dets[j - e] for e in range(1, j + 1)))
+    return Fraction(dets[k], q**k)
 
 
 def qk_exact(u, v, k: int):

@@ -8,8 +8,9 @@ theta = lam - v.  Sigma is exact for an int or Fraction lam with v <= 200;
 every other input goes through its log-sum.  The exact paths work in
 integers: with lam = p/q each term lam^k / k! is scaled by D = q^v * v! to
 the integer p^k * q^(v-k) * v!/k!, and the result is reduced once, as a
-Fraction over D * v (times q for the rearrangement).  A nan or infinite
-argument raises ValueError instead of coming back as nan.
+Fraction over D * v (times q for the rearrangement).  The log-sum's v terms
+are float64 arrays.  A nan or infinite argument, or a v that is not an
+int >= 1, raises ValueError instead of coming back as nan.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
+
+import numpy as np
 
 from .primes import LOG2
 
@@ -28,11 +32,16 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _as_v(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
+        raise ValueError(f"v must be an integer >= 1, got {v!r}")
+    return int(v)
+
+
 def poisson_sum(lam, v: int):
     """Sigma(lam, v): an exact Fraction for an int or Fraction lam with v <= 200,
     else exp of `poisson_sum_log` (inf only past the float64 range)."""
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
+    v = _as_v(v)
     if not 0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if _is_exact(lam) and v <= EXACT_V_CAP:
@@ -52,22 +61,21 @@ def poisson_sum(lam, v: int):
 
 
 def poisson_sum_log(lam: float, v: int) -> float:
-    """log of Sigma(lam, v), evaluated with log-factorials (safe for lam ~ 1e4)."""
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
+    """log of Sigma(lam, v), evaluated with log-factorials (safe for lam ~ 1e4).
+    Its arrays repeat the float operations of a loop over k, in order, with
+    math.log and math.exp, as np.log and np.exp differ in a few ulps."""
+    v = _as_v(v)
     lam = float(lam)
     if not 0 <= lam < math.inf:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if lam == 0:
         return -math.inf
-    log_lam = math.log(lam)
-    logs = []
-    lg = 0.0  # lgamma(k+1) accumulated incrementally
-    for k in range(1, v + 1):
-        lg += math.log(k)
-        logs.append(k * log_lam - lg + math.log((v - k + 1) / v))
-    m = max(logs)
-    return m + math.log(math.fsum(math.exp(l - m) for l in logs))
+    k = np.arange(1, v + 1)
+    lg = np.cumsum(np.fromiter(map(math.log, range(1, v + 1)), np.float64, v))
+    ratio_logs = np.fromiter(map(math.log, ((v - k + 1) / v).tolist()), np.float64, v)
+    logs = k * math.log(lam) - lg + ratio_logs
+    m = float(logs.max())
+    return m + math.log(math.fsum(map(math.exp, (logs - m).tolist())))
 
 
 def key_identity_rhs(lam, v: int) -> Fraction:
@@ -77,8 +85,7 @@ def key_identity_rhs(lam, v: int) -> Fraction:
 
     Equals poisson_sum identically (pre-truncation form).  Exact inputs
     only: lam an int or Fraction, and v <= 200."""
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
+    v = _as_v(v)
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if not (_is_exact(lam) and v <= EXACT_V_CAP):
@@ -190,8 +197,7 @@ def classify_regime(lam: float, v: int, epsilon: float) -> RegimeReport:
     Boundary ties resolve (iii) first, then (iv)/(v), then (i)/(ii).
     The analysis takes epsilon in (0, 0.2); values up to 1 are accepted.
     """
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
+    v = _as_v(v)
     if not 0 < lam < math.inf:
         raise ValueError(f"lam must be finite and > 0, got {lam}")
     if not 0 < epsilon < 1:

@@ -166,13 +166,13 @@ def make_prime_set(
         must be coprime to the modulus; delta = #residues / phi(modulus).
     kind="thinned": keep each prime p when hash(seed, p) / 2^64 < target_density.
 
-    One sieve picks the members, and the primes it leaves out build the bitmap.
+    Every parameter is checked before the one sieve picks the members, and the
+    primes it leaves out build the bitmap.
     """
-    if limit > MAX_X_BITMAP:
-        raise ValueError(f"limit = {limit} beyond bitmap cap {MAX_X_BITMAP}")
-    primes = sieve_primes(limit)
+    if not 2 <= limit <= MAX_X_BITMAP:
+        raise ValueError(f"limit = {limit} outside [2, the bitmap cap {MAX_X_BITMAP}]")
     if kind == "all":
-        delta, params, keep = 1.0, {}, np.ones(len(primes), dtype=bool)
+        delta, params, keep = 1.0, {}, lambda primes: np.ones(len(primes), dtype=bool)
     elif kind == "congruence":
         if modulus is None or residues is None:
             raise ValueError("congruence prime set needs modulus and residues")
@@ -189,20 +189,21 @@ def make_prime_set(
         phi = math.prod((p - 1) * p ** (e - 1) for p, e in factorize(m))
         delta, params = len(rset) / phi, {"modulus": m, "residues": rset}
         # "sort" compares residue by residue when there are few of them
-        keep = np.isin(primes % m, np.array(rset), kind="sort")
+        keep = lambda primes: np.isin(primes % m, np.array(rset), kind="sort")
     elif kind == "thinned":
         if target_density is None or not (0.0 < target_density <= 1.0):
             raise ValueError(f"target_density must be in (0, 1], got {target_density}")
         delta, seed = float(target_density), _integer("seed", seed)
         params = {"target_density": delta, "seed": seed}
-        mixed_seed = _splitmix64(seed)
-        h = _splitmix64(primes.astype(np.uint64) ^ np.uint64(mixed_seed))
-        keep = h.astype(np.float64) / 2.0**64 < target_density  # h / 2^64 < 1: 1.0 keeps all
-        del h
+        mixed = np.uint64(_splitmix64(seed))  # hash / 2^64 < 1: density 1.0 keeps all
+        keep = lambda primes: (_splitmix64(primes.astype(np.uint64) ^ mixed) / 2.0**64
+                               < target_density)
     else:
         raise ValueError(f"unknown prime set kind: {kind!r}")
-    members, excluded = primes[keep], primes[~keep]
-    del primes, keep
+    primes = sieve_primes(limit)
+    kept = keep(primes)
+    members, excluded = primes[kept], primes[~kept]
+    del primes, kept
     return PrimeSet(kind, limit, delta, members, params, _complement_sieve(limit, excluded))
 
 

@@ -1,8 +1,12 @@
 """Shared fixtures: prime sets are sieved once per session and reused, and
 one hypothesis profile that keeps property tests deterministic.  Also the
-trial-division membership test `in_sq`, the reference for the S_Q walkers."""
+trial-division membership test `in_sq`, the reference for the S_Q walkers,
+and the per-term loops that the array and integer forms of `poisson_sum_log`
+and `_steck_determinant` must match bit for bit."""
 
+import math
 from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -50,3 +54,32 @@ def in_sq(ps: PrimeSet, n: int) -> bool:
         if i == 0 or members[i - 1] != p:
             return False
     return True
+
+
+def reference_poisson_sum_log(lam: float, v: int) -> float:
+    """log Sigma(lam, v) by one Python loop over k, a float at a time."""
+    lam = float(lam)
+    if lam == 0:
+        return -math.inf
+    log_lam = math.log(lam)
+    logs = []
+    lg = 0.0  # log k!, accumulated incrementally
+    for k in range(1, v + 1):
+        lg += math.log(k)
+        logs.append(k * log_lam - lg + math.log((v - k + 1) / v))
+    m = max(logs)
+    return m + math.log(math.fsum(math.exp(t - m) for t in logs))
+
+
+def reference_steck_determinant(lower: list[Fraction], k: int) -> Fraction:
+    """Steck's leading minors D_j = sum_{e=1..j} (-1)^(e-1) (c_j^e / e!) D_{j-e},
+    c_j = (1 - lower_j)_+, in Fractions; the probability is k! D_k."""
+    dets = [Fraction(1)]
+    for j in range(1, k + 1):
+        c = max(Fraction(0), 1 - lower[j - 1])
+        term, total = Fraction(1), Fraction(0)
+        for e in range(1, j + 1):
+            term *= -c / e  # (-c_j)^e / e!
+            total -= term * dets[j - e]
+        dets.append(total)
+    return dets[k] * math.factorial(k)

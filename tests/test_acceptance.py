@@ -41,14 +41,25 @@ def test_band_check_holds_every_value_to_its_fixture():
         acceptance._check_bands({"all": [1.0, 2.0, 1.5]}, fix, 2.5)
 
 
+def test_lw_walks_every_squarefree_a(ctx):
+    assert acceptance._crit_lw(ctx) == (True, "60794 squarefree a <= 100000, zero violations")
+
+
+def test_criteria_filter_takes_comma_separated_terms():
+    assert [c[0] for c in acceptance.select_criteria("c03,c07")] == ["c03", "c07"]
+    assert [c[0] for c in acceptance.select_criteria("C07,zzz,")] == ["c07"]
+    with pytest.raises(acceptance.ConfigError):
+        acceptance.select_criteria(",")
+
+
 def test_lw_names_the_smallest_violating_a(ctx, monkeypatch):
     # L tripled at a = 97 (omega 1) and a = 30 (omega 3): the block of 97
     # comes first, but c03 names the smallest violating a, and at that a the
     # first failing check in the order (i), (ii), (iii), Cauchy-Schwarz
     blocks = acceptance.squarefree_lw
 
-    def tripled(n):
-        for a, primes, la, wa in blocks(n):
+    def tripled(n, logs):
+        for a, primes, la, wa in blocks(n, logs):
             yield a, primes, np.where(np.isin(a, (30, 97)), 3.0 * la, la), wa
 
     monkeypatch.setattr(acceptance, "squarefree_lw", tripled)

@@ -15,7 +15,7 @@ from multlab import (
     make_prime_set,
     w_count,
 )
-from multlab.divisors import squarefree_lw
+from multlab.divisors import log_table, squarefree_lw
 from multlab.experiments import resolve_prime_set
 from multlab.primes import LOG2
 
@@ -206,6 +206,21 @@ def test_squarefree_lw_first_omega_six():
     assert l_vals.tolist() == [l_measure(30_030)]
     assert w_vals.tolist() == [w_count(30_030)]
     assert max(b[1].shape[1] for b in squarefree_lw(30_029)) == 5
+
+
+def test_log_table_holds_math_log():
+    logs = log_table(2_000)
+    assert logs.dtype == np.float64 and logs.shape == (2_001,)
+    assert logs[0] == -math.inf
+    assert all(logs[d] == math.log(d) for d in range(1, 2_001))  # equal bits
+
+
+def test_squarefree_lw_reads_a_passed_log_table():
+    own = [b[2].tolist() for b in squarefree_lw(3_000)]
+    assert [b[2].tolist() for b in squarefree_lw(3_000, log_table(5_000))] == own
+    assert [b[2].tolist() for b in squarefree_lw(3_000, log_table(1_500))] == own
+    with pytest.raises(IndexError):  # a short table fails loudly
+        list(squarefree_lw(3_000, log_table(1_000)))
 
 
 def test_squarefree_lw_edges():

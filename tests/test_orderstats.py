@@ -32,6 +32,8 @@ from multlab.orderstats import (
 )
 from multlab.rng import BLOCK, block_generator
 
+from conftest import reference_steck_determinant
+
 SEED = 1234
 # two full blocks, the second ending one tile and 7 samples past its start
 N_PAST_TILE = BLOCK + _TILE + 7
@@ -75,6 +77,19 @@ def test_steck_determinant_matches_recursive_volume(bounds):
     # arbitrary ascending rational bounds, not only the linear (i - u) / v
     k = len(bounds)
     assert _steck_determinant(bounds, k) == math.factorial(k) * vol_lower_barrier_exact(bounds)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.fractions(min_value=0, max_value=Fraction(3, 2), max_denominator=60),
+                min_size=1, max_size=12).map(sorted))
+@example([Fraction(1, 7)] * 12)  # repeated bounds
+@example([Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 4)])  # c_j = 0 from j = 3
+@example([Fraction(1, 2), Fraction(1, 2), Fraction(2, 3), Fraction(2, 3), Fraction(3, 2)])
+def test_steck_determinant_matches_the_fraction_recurrence(bounds):
+    # the integer recurrence gives the same reduced Fraction
+    k = len(bounds)
+    exact = _steck_determinant(bounds, k)
+    assert isinstance(exact, Fraction) and exact == reference_steck_determinant(bounds, k)
 
 
 def test_qk_exact_validation():

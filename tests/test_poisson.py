@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,9 +24,12 @@ from multlab import (
 from multlab.acceptance import (
     GAUSSIAN_POINTS,
     GAUSSIAN_REL_SLACK,
+    REGIME_GRID,
     _ramanujan_window,
 )
 from multlab.poisson import LOG4
+
+from conftest import reference_poisson_sum_log
 
 
 def reference_poisson_sum(lam, v):
@@ -125,6 +129,39 @@ def test_poisson_sum_validation():
             poisson_sum(lam, 3)
     with pytest.raises(ValueError):
         poisson_sum_log(3.0, 0)
+
+
+@settings(max_examples=60)
+@given(lam=st.one_of(st.floats(0, 40), st.floats(0, 40_000), st.floats(1e-300, 1e-3)),
+       v=st.integers(1, 30_000))
+@example(lam=1e-300, v=30_000)  # every term but the first far below it
+@example(lam=1.0, v=1)
+def test_poisson_sum_log_matches_the_loop(lam, v):
+    # the array form repeats the loop's float operations: equal bits, not approx
+    assert poisson_sum_log(lam, v) == reference_poisson_sum_log(lam, v)
+
+
+@pytest.mark.parametrize("lam,v", [(lam, v) for _, lam, v in REGIME_GRID])
+def test_poisson_sum_log_matches_the_loop_on_the_regime_grid(lam, v):
+    assert poisson_sum_log(lam, v) == reference_poisson_sum_log(lam, v)
+
+
+@pytest.mark.parametrize("v", [5.0, 2.5, True, False, "5", None, 0, -3])
+def test_every_sum_rejects_a_v_that_is_not_a_positive_int(v):
+    calls = (lambda: poisson_sum(3, v), lambda: poisson_sum(3.0, v),
+             lambda: poisson_sum_log(3.0, v), lambda: key_identity_rhs(3, v),
+             lambda: classify_regime(3.0, v, 0.1))
+    for call in calls:
+        with pytest.raises(ValueError, match="v must be an integer >= 1"):
+            call()
+
+
+def test_a_numpy_integer_v_is_an_int():
+    v = np.int64(40)
+    assert poisson_sum(Fraction(7, 2), v) == poisson_sum(Fraction(7, 2), 40)
+    assert key_identity_rhs(Fraction(7, 2), v) == key_identity_rhs(Fraction(7, 2), 40)
+    assert poisson_sum_log(35.5, v) == poisson_sum_log(35.5, 40)
+    assert classify_regime(35.5, v, 0.1) == classify_regime(35.5, 40, 0.1)
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])

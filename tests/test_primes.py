@@ -90,6 +90,30 @@ def test_make_prime_set_rejects_non_integral_parameters():
     assert make_prime_set("thinned", 100, target_density=0.5, seed=7.0).params["seed"] == 7
 
 
+@pytest.mark.parametrize("kind,kwargs", [
+    ("random", {}),
+    ("all", {"limit": 1}),
+    ("congruence", {"residues": [1]}),
+    ("congruence", {"modulus": 4.5, "residues": [1]}),
+    ("congruence", {"modulus": 1, "residues": [0]}),
+    ("congruence", {"modulus": 4}),
+    ("congruence", {"modulus": 4, "residues": [1.5]}),
+    ("congruence", {"modulus": 4, "residues": []}),
+    ("congruence", {"modulus": 4, "residues": [2]}),
+    ("thinned", {}),
+    ("thinned", {"target_density": 1.5}),
+    ("thinned", {"target_density": math.nan}),
+    ("thinned", {"target_density": 0.5, "seed": 7.2}),
+])
+def test_make_prime_set_checks_every_parameter_before_it_sieves(monkeypatch, kind, kwargs):
+    def forbidden(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(primes, "sieve_primes", forbidden)
+    with pytest.raises(ValueError):
+        make_prime_set(kind, **{"limit": 10**8, **kwargs})
+
+
 def test_sieve_rejects_tiny_limit():
     with pytest.raises(ValueError):
         sieve_primes(1)
