@@ -20,6 +20,7 @@ from .divisors import (
 )
 from .counting import (
     CountResult,
+    aq_curve,
     count_aq,
     count_hq,
     count_rough,

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError
-from .counting import count_aq, count_hq, count_rough
+from .counting import aq_curve, count_hq, count_rough
 from .divisors import factorize, log_table, squarefree_lw
 from .experiments import (
     DEFAULT_SEED,
@@ -308,8 +308,7 @@ def _crit_counting(ctx: Context) -> tuple[bool, str]:
 
     for kind in ("all", "1mod4"):
         ps = ctx.prime_set(kind, SANDWICH_N_MAX * SANDWICH_N_MAX)
-        for n in range(1, SANDWICH_N_MAX + 1):
-            aq = count_aq(ps, n).value
+        for n, aq in enumerate(aq_curve(ps, SANDWICH_N_MAX).tolist()[1:], start=1):
             # the lower-bound count is over [1, n^2/4], empty for n = 1
             lower = (count_hq(ps, n * n / 4.0, n / 4.0, n / 2.0).value
                      if n >= 2 else 0)

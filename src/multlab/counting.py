@@ -9,12 +9,10 @@ limit.  No kernel branches on the kind of prime set.  Because S_Q is closed
 under divisors, the divisor-multiples method marks the multiples of the members
 d in (y, z] and intersects the marks with the bitmap, and a rough count takes
 the multiples of the Q-primes up to z from S_Q, both by primes.mark_multiples
-one cache-sized window of [0, x] at a time.  A_Q reads its
-members a from the bitmap too and has two exact kernels, chosen by the density
-of S_Q(N): a dense set ORs the bitmap's window of b into the cells a*b of a
-segmented bitmap over [1, N^2], one strided write per a, from a row bound
-that skips the products a smaller row writes; a sparse set sorts the member
-products a*b chunk by chunk and counts the distinct ones.  Only the
+one cache-sized window of [0, x] at a time.  A_Q(n) for every n <= N comes
+from one pass over the members n of S_Q: the products n*k that are not new
+are the products in a few rectangles fixed by the divisors of n, marked one
+strided write per member row in a buffer of N + 1 cells.  Only the
 exhaustive H_Q method builds S_Q another way, as products of Q-primes.
 The kernels return counts and the method they ran; timing a run is the
 experiments' reporter's job.
@@ -169,120 +167,75 @@ def count_sq(ps: PrimeSet, x: float) -> int:
     return int(np.count_nonzero(_sq_bitmap(ps, xi)))
 
 
-# The cap is run time: the set of all primes, which always takes the bitmap
-# kernel, costs about 0.85 * N^2/2 strided writes, 22 s at N = 1e5 on a
-# 2 vCPU Xeon.
+# The cap is run time: the curve for the set of all primes, the densest set,
+# makes about 4.8M slice writes over 4.1e9 cells to N = 1e5, about 7 s on a
+# 2 vCPU Xeon, and its cells grow like N^2.
 MAX_N_AQ = 100_000
-_AQ_SEGMENT = 1 << 23
-# The sorted kernel's chunk holds at most this many member pairs, and spans at
-# most 2^32 products, so each offset a*b - lo fits in uint32.
-_AQ_PAIRS = 1 << 18
-_AQ_SPAN_CAP = 1 << 32
+AQ_METHOD = "increments"
 
 
-def _aq_bitmap(bm: np.ndarray, n_bound: int) -> int:
-    """A_Q(N) by a bitmap over [1, N^2], one segment at a time: for each
-    member a, one strided write ORs the S_Q bitmap's window of b into the
-    cells a*b.
+def aq_curve(ps: PrimeSet, n_bound: int) -> np.ndarray:
+    """A_Q(n) for every 0 <= n <= N, as int64, by one increment per member n.
 
-    Row a > 1 starts at b = first(a) = max(a, N // p + 1), p the smallest
-    prime factor of a: for b <= N/p, a*b = (a/p)*(p*b) with a/p < a <= p*b
-    <= N and both factors in S_Q, which is closed under divisors and
-    products, so a smaller row writes that cell.  Row 1 starts at b = 1.
+    A product n*k, k <= n in S_Q, is a product of two members below n iff
+    k = a*b with a <= g - 1 and b <= n/g - 1, both in S_Q, for a divisor
+    1 < g <= sqrt(n) of n (g or n/g is gcd(n, a') for such a pair a', b').  So
+    with the divisors 1 = g_0 < g_1 < ... of n up to sqrt(n), each member row
+    a in [g_{i-1}, g_i) marks the cells a*b, b <= c = n/g_i - 1 in S_Q, of one
+    buffer; every mark lies below n, and the increment is |S_Q(n)| less the
+    marks.  Row a > 1, p the smallest prime factor of a, starts at b =
+    max(a, cap[a/p] // p + 1): a smaller b is either a smaller row's cell
+    a*b = b*a, or (a/p)*(p*b) with p*b <= cap[a/p], which row a/p marks.
     """
-    members = np.flatnonzero(bm)
-    first = np.maximum(members, n_bound // _smallest_prime_factors(n_bound)[members] + 1)
-    first[0] = 1  # members[0] = 1, whose spf[1] = 1 would empty the row
-    total = 0
-    top = n_bound * n_bound
-    for lo in range(1, top + 1, _AQ_SEGMENT):
-        hi = min(lo + _AQ_SEGMENT, top + 1)
-        i0 = int(np.searchsorted(members, -(-lo // n_bound)))  # need a*N >= lo
-        i1 = int(np.searchsorted(members, math.isqrt(hi - 1), "right"))  # a*a < hi
-        a = members[i0:i1]
-        b_lo = np.maximum(first[i0:i1], -(-lo // a))  # ceil(lo / a)
-        b_hi = np.minimum(n_bound, (hi - 1) // a)
-        rows = b_lo <= b_hi  # a row with no cell in [lo, hi) has no valid slice
-        a, b_lo, b_hi = a[rows], b_lo[rows], b_hi[rows]
-        start = (a * b_lo - lo).tolist()
-        stop = (a * b_hi - lo + 1).tolist()
-        seg = np.zeros(hi - lo, dtype=bool)
-        for step, s, e, b, c in zip(a.tolist(), start, stop, b_lo.tolist(),
-                                    (b_hi + 1).tolist()):
-            seg[s:e:step] |= bm[b:c]
-        total += int(np.count_nonzero(seg))
-    return total
-
-
-def _aq_sorted(members: np.ndarray, n_bound: int) -> int:
-    """A_Q(N) by sorting the member products a*b, a <= b, one chunk of the
-    product range [1, N^2] at a time, and counting the distinct values.
-
-    A chunk [lo, hi) takes every member a with a*N >= lo and a*a < hi, each
-    with its window of b, found by searchsorted; its products are one ragged
-    gather.  The span starts at its cap, halves while a chunk holds more than
-    _AQ_PAIRS pairs and doubles after a chunk that holds under half of them.
-    """
-    narrow = members.astype(np.uint32)  # members <= MAX_N_AQ
-    top = n_bound * n_bound
-    total = 0
-    lo, span = 1, _AQ_SPAN_CAP
-    while lo <= top:
-        hi = min(lo + span, top + 1)
-        i0 = int(np.searchsorted(members, -(-lo // n_bound)))
-        i1 = int(np.searchsorted(members, math.isqrt(hi - 1), "right"))
-        a = members[i0:i1]
-        # b runs over members[j0:j1]: b >= a, a*b >= lo and a*b < hi
-        j0 = np.maximum(np.arange(i0, i1), np.searchsorted(members, -(-lo // a)))
-        j1 = np.searchsorted(members, (hi - 1) // a, "right")
-        runs = np.maximum(j1 - j0, 0)
-        pairs = int(runs.sum())
-        if pairs > _AQ_PAIRS and span > 1:
-            span //= 2
+    if not n_bound >= 1:
+        raise ValueError(f"aq_curve and count_aq require N >= 1, got {n_bound}")
+    if n_bound >= MAX_N_AQ + 1:
+        raise ValueError(f"aq_curve and count_aq capped at N <= {MAX_N_AQ}, got {n_bound}")
+    n_bound = int(n_bound)
+    bm = _sq_bitmap(ps, n_bound)
+    member = bm.tolist()
+    spf = _smallest_prime_factors(n_bound).tolist()
+    full = bool(bm[1:].all())  # every b in S_Q: write True, with no bitmap to OR in
+    cap = [0] * (math.isqrt(n_bound) + 1)  # cap[a]: row a's last b at this n
+    marks = np.zeros(n_bound + 1, dtype=bool)
+    curve = np.zeros(n_bound + 1, dtype=np.int64)  # increments, then summed
+    size = 0
+    for n in range(1, n_bound + 1):
+        if not member[n]:
             continue
-        if pairs:
-            idx = np.arange(pairs, dtype=np.int64)
-            idx += np.repeat(j0 - (np.cumsum(runs) - runs), runs)
-            prods = narrow[idx]
-            del idx
-            # uint32 arithmetic wraps mod 2^32, and the true offset lies in
-            # [0, span) with span <= 2^32, so the wrapped value is exact
-            prods *= np.repeat(narrow[i0:i1], runs)
-            prods -= np.uint32(lo & 0xFFFFFFFF)
-            prods.sort()
-            total += 1 + int(np.count_nonzero(prods[1:] != prods[:-1]))
-        lo = hi
-        if 2 * pairs < _AQ_PAIRS:
-            span = min(2 * span, _AQ_SPAN_CAP)
-    return total
+        size += 1
+        divs, rest = [1], n
+        while rest > 1:
+            p, powers = spf[rest], [1]
+            while rest % p == 0:
+                rest //= p
+                powers.append(powers[-1] * p)
+            divs = [d * q for d in divs for q in powers]
+        lo = 1
+        for g in sorted(d for d in divs if 1 < d and d * d <= n):
+            c = n // g - 1
+            for a in range(lo, g):
+                if member[a]:
+                    p = spf[a]
+                    b0 = max(a, cap[a // p] // p + 1) if a > 1 else 1
+                    cap[a] = c
+                    if b0 <= c and full:
+                        marks[a * b0 : a * c + 1 : a] = True
+                    elif b0 <= c:
+                        marks[a * b0 : a * c + 1 : a] |= bm[b0 : c + 1]
+            lo = g
+        if lo > 1:
+            curve[n] = size - np.count_nonzero(marks[:n])
+            marks[:n] = False
+        else:  # 1 or a prime: every product is new
+            curve[n] = size
+    return np.cumsum(curve, out=curve)
 
 
 def count_aq(ps: PrimeSet, n_bound: int) -> CountResult:
-    """A_Q(N): number of distinct products ab with a, b in S_Q and a, b <= N.
-
-    Two exact kernels, chosen by the density of S_Q(N).  With m members,
-    W = m(N+1) - sum(members) is the bitmap kernel's unpruned strided-write
-    count, one per cell a*b with a <= b; its row bound skips the cells a
-    smaller row writes (about 15% of them for the set of all primes), so W
-    is an upper bound on the writes it makes.  The sorted kernel sorts
-    m(m+1)/2 pairs.  The rule is kept on the unpruned W: charging a sorted
-    pair two strided writes, a set takes "sorted-products" iff m(m+1) < W
-    and "segmented-bitmap" otherwise; the set of all primes, with
-    W = m(m+1)/2, always takes the bitmap.  Both kernels give the same count.
-    """
-    if not n_bound >= 1:
-        raise ValueError(f"count_aq requires N >= 1, got {n_bound}")
-    if n_bound >= MAX_N_AQ + 1:
-        raise ValueError(f"count_aq capped at N <= {MAX_N_AQ}, got {n_bound}")
-    n_bound = int(n_bound)
-    bm = _sq_bitmap(ps, n_bound)
-    members = np.flatnonzero(bm)
-    m = members.size
-    if m * (m + 1) < m * (n_bound + 1) - int(members.sum()):
-        value, method = _aq_sorted(members, n_bound), "sorted-products"
-    else:
-        value, method = _aq_bitmap(bm, n_bound), "segmented-bitmap"
-    return CountResult(value, method)
+    """A_Q(N): number of distinct products ab with a, b in S_Q and a, b <= N,
+    read from the top of aq_curve."""
+    return CountResult(int(aq_curve(ps, n_bound)[-1]), AQ_METHOD)
 
 
 def count_rough(ps: PrimeSet, x: float, z: float) -> int:

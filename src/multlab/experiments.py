@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, merged_config
-from .counting import HQ_METHODS, MAX_N_AQ, MAX_X_EXHAUSTIVE, count_aq, count_hq, count_sq
+from .counting import (AQ_METHOD, HQ_METHODS, MAX_N_AQ, MAX_X_EXHAUSTIVE, aq_curve, count_hq,
+                       count_sq)
 from .orderstats import (
     YK_MU,
     BarrierSpec,
@@ -253,17 +254,17 @@ def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
         with rep.section("prime_set", q=desc):
             ps = resolve_prime_set(desc, limit, cfg["seed"])
             rep.prime_audits.append(audit_summary(ps))
+        with rep.section("count_aq", q=desc, n=n_grid[-1], method=AQ_METHOD):
+            curve = aq_curve(ps, n_grid[-1])
         ratios = []
         for n in n_grid:
             sq = count_sq(ps, n)
-            with rep.section("count_aq", q=desc, n=n) as sec:
-                res = count_aq(ps, n)
-                sec["method"] = res.method
-            ratio = res.value / sq**2
+            aq = int(curve[n])
+            ratio = aq / sq**2
             ratios.append(ratio)
             rows.append({
                 "q": desc, "delta": ps.delta, "n": n, "sq_count": sq,
-                "aq_count": res.value, "ratio": ratio,
+                "aq_count": aq, "ratio": ratio,
             })
         if len(n_grid) >= 2:
             slope = float(np.polyfit(np.log(n_grid), np.log(ratios), 1)[0])
@@ -271,7 +272,7 @@ def run_aq_dichotomy(cfg: dict, rep: _Reporter) -> None:
             slope = 0.0
         trend = "decaying" if slope <= cfg["slope_threshold"] else "flat"
         slopes[desc] = {"slope": slope, "trend": trend, "delta": ps.delta}
-        del ps  # else its bitmap lives on while the next set builds its own
+        del ps, curve  # else they live on while the next set builds its own
     rep.result.summary["slopes"] = slopes
     rep.add_table("aq_dichotomy",
                   ["q", "delta", "n", "sq_count", "aq_count", "ratio"],

@@ -75,7 +75,9 @@ def poisson_sum_log(lam: float, v: int) -> float:
     ratio_logs = np.fromiter(map(math.log, ((v - k + 1) / v).tolist()), np.float64, v)
     logs = k * math.log(lam) - lg + ratio_logs
     m = float(logs.max())
-    return m + math.log(math.fsum(map(math.exp, (logs - m).tolist())))
+    logs -= m
+    # math.exp of a term below -746 is exactly 0.0, so dropping it leaves the fsum
+    return m + math.log(math.fsum(map(math.exp, logs[logs >= -746].tolist())))
 
 
 def key_identity_rhs(lam, v: int) -> Fraction:

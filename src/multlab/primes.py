@@ -145,9 +145,12 @@ def _complement_sieve(limit: int, excluded: np.ndarray) -> np.ndarray:
 
 def _integer(name: str, value) -> int:
     """value as an int; a ValueError, not a truncation, when it is not integral."""
-    if int(value) != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        if int(value) == value:
+            return int(value)
+    except (OverflowError, ValueError):  # int() of an inf or a nan
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def make_prime_set(

@@ -1,13 +1,16 @@
 """Shared fixtures: prime sets are sieved once per session and reused, and
 one hypothesis profile that keeps property tests deterministic.  Also the
 trial-division membership test `in_sq`, the reference for the S_Q walkers,
-and the per-term loops that the array and integer forms of `poisson_sum_log`
-and `_steck_determinant` must match bit for bit."""
+`reference_aq_sorted`, which counts A_Q(N) by sorting member products and
+shares no code with `aq_curve`, and the per-term loops that the array and
+integer forms of `poisson_sum_log` and `_steck_determinant` must match bit
+for bit."""
 
 import math
 from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -54,6 +57,55 @@ def in_sq(ps: PrimeSet, n: int) -> bool:
         if i == 0 or members[i - 1] != p:
             return False
     return True
+
+
+# A chunk of the product range holds at most this many member pairs, and spans
+# at most 2^32 products, so each offset a*b - lo fits in uint32.
+AQ_PAIRS = 1 << 18
+AQ_SPAN_CAP = 1 << 32
+
+
+def reference_aq_sorted(members: np.ndarray, n_bound: int) -> int:
+    """A_Q(N) by sorting the member products a*b, a <= b, one chunk of the
+    product range [1, N^2] at a time, and counting the distinct values.
+
+    A chunk [lo, hi) takes every member a with a*N >= lo and a*a < hi, each
+    with its window of b, found by searchsorted; its products are one ragged
+    gather.  The span starts at its cap, halves while a chunk holds more than
+    AQ_PAIRS pairs and doubles after a chunk that holds under half of them.
+    """
+    narrow = members.astype(np.uint32)  # members <= 1e5
+    top = n_bound * n_bound
+    total = 0
+    lo, span = 1, AQ_SPAN_CAP
+    while lo <= top:
+        hi = min(lo + span, top + 1)
+        i0 = int(np.searchsorted(members, -(-lo // n_bound)))
+        i1 = int(np.searchsorted(members, math.isqrt(hi - 1), "right"))
+        a = members[i0:i1]
+        # b runs over members[j0:j1]: b >= a, a*b >= lo and a*b < hi
+        j0 = np.maximum(np.arange(i0, i1), np.searchsorted(members, -(-lo // a)))
+        j1 = np.searchsorted(members, (hi - 1) // a, "right")
+        runs = np.maximum(j1 - j0, 0)
+        pairs = int(runs.sum())
+        if pairs > AQ_PAIRS and span > 1:
+            span //= 2
+            continue
+        if pairs:
+            idx = np.arange(pairs, dtype=np.int64)
+            idx += np.repeat(j0 - (np.cumsum(runs) - runs), runs)
+            prods = narrow[idx]
+            del idx
+            # uint32 arithmetic wraps mod 2^32, and the true offset lies in
+            # [0, span) with span <= 2^32, so the wrapped value is exact
+            prods *= np.repeat(narrow[i0:i1], runs)
+            prods -= np.uint32(lo & 0xFFFFFFFF)
+            prods.sort()
+            total += 1 + int(np.count_nonzero(prods[1:] != prods[:-1]))
+        lo = hi
+        if 2 * pairs < AQ_PAIRS:
+            span = min(2 * span, AQ_SPAN_CAP)
+    return total
 
 
 def reference_poisson_sum_log(lam: float, v: int) -> float:

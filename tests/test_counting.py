@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import multlab.counting as counting
 from multlab import (
+    aq_curve,
     count_aq,
     count_hq,
     count_rough,
@@ -26,7 +27,7 @@ from multlab.divisors import _smallest_prime_factors, l_measure
 from multlab.experiments import resolve_prime_set
 from multlab.primes import LOG2, PrimeSet, _complement_sieve, make_prime_set, sieve_primes
 
-from conftest import in_sq
+from conftest import in_sq, reference_aq_sorted
 
 
 def brute_hq(ps, x, y, z):
@@ -234,7 +235,7 @@ def test_count_aq_known_values(ps_all):
     assert count_aq(ps_all, 4).value == 9
     res = count_aq(ps_all, 1000)
     assert res.value == 248083  # distinct entries of the 1000 x 1000 table
-    assert res.method == "segmented-bitmap"
+    assert res.method == "increments"
 
 
 def test_count_aq_matches_outer_product(ps_all, ps_1mod4, ps_thinned):
@@ -249,105 +250,112 @@ AQ_SETS = ("all", "congruence:4:1", "congruence:3:2", "congruence:8:1+3",
 
 
 @settings(max_examples=60)
-@given(desc=st.sampled_from(AQ_SETS), n=st.integers(1, 400), k=st.integers(4, 14))
-def test_count_aq_matches_outer_product_everywhere(desc, n, k):
+@given(desc=st.sampled_from(AQ_SETS), n=st.integers(1, 400))
+def test_count_aq_matches_outer_product_everywhere(desc, n):
     ps = resolve_prime_set(desc, 400)
     members = enumerate_sq(ps, n)
     expected = len(np.unique(np.outer(members, members)))
-    # segments from 16 cells to past N^2 = 160,000, so marks cross their edges
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(counting, "_AQ_SEGMENT", 1 << k)
-        assert count_aq(ps, n).value == expected
+    assert count_aq(ps, n).value == expected
 
 
-def test_count_aq_segmented_path(ps_all, ps_1mod4, ps_thinned, monkeypatch):
-    # segments far shorter than N^2 = 2.25e6, so marks cross segment edges;
-    # the sparse sets take the sorted kernel in count_aq, so call the bitmap
-    monkeypatch.setattr(counting, "_AQ_SEGMENT", 1 << 17)
-    for ps, n in ((ps_all, 1500), (ps_1mod4, 1500), (ps_thinned, 1500)):
-        bm = counting._sq_bitmap(ps, n)
-        members = enumerate_sq(ps, n)
-        assert counting._aq_bitmap(bm, n) == len(np.unique(np.outer(members, members)))
+@st.composite
+def small_prime_sets(draw):
+    """A thinned set with a random seed and density, or a random congruence
+    class, to 300."""
+    if draw(st.booleans()):
+        return make_prime_set("thinned", 300, target_density=draw(st.floats(0.05, 1.0)),
+                              seed=draw(st.integers(0, 2**32)))
+    modulus = draw(st.integers(2, 30))
+    units = [r for r in range(modulus) if math.gcd(r, modulus) == 1]
+    residues = draw(st.lists(st.sampled_from(units), min_size=1, unique=True))
+    return make_prime_set("congruence", 300, modulus=modulus, residues=residues)
 
 
-def test_count_aq_chooses_by_density(ps_all, ps_1mod4, ps_thinned):
-    assert count_aq(ps_all, 1000).method == "segmented-bitmap"
+@settings(max_examples=40)
+@given(ps=small_prime_sets())
+@example(ps=make_prime_set("all", 300))
+def test_aq_curve_matches_outer_product_at_every_n(ps):
+    # the outer product's rows and columns enter one member n at a time
+    members = enumerate_sq(ps, 300).tolist()
+    seen, expected = set(), [0]
+    for n in range(1, 301):
+        if n in members:
+            seen.update(n * k for k in members if k <= n)
+        expected.append(len(seen))
+    curve = aq_curve(ps, 300)
+    assert curve.dtype == np.int64
+    assert curve.tolist() == expected
+
+
+@pytest.mark.parametrize("desc,n_max", [("all", 3000), ("congruence:3:2", 10_000),
+                                        ("congruence:8:1+3", 30_000),
+                                        ("thinned:0.6:11", 10_000)])
+def test_aq_curve_matches_sorted_products(desc, n_max):
+    ps = resolve_prime_set(desc, n_max)
+    curve = aq_curve(ps, n_max)
+    rng = random.Random(desc)
+    for n in rng.sample(range(1, n_max), 3) + [n_max]:
+        assert curve[n] == reference_aq_sorted(enumerate_sq(ps, n), n), n
+
+
+def test_count_aq_reports_one_method(ps_all, ps_1mod4, ps_thinned):
+    assert count_aq(ps_all, 1000).method == "increments"
     for ps in (ps_1mod4, ps_thinned):
         res = count_aq(ps, 1500)
-        assert res.method == "sorted-products"
+        assert res.method == "increments"
         members = enumerate_sq(ps, 1500)
         assert res.value == len(np.unique(np.outer(members, members)))
 
 
-@settings(max_examples=60)
-@given(desc=st.sampled_from(AQ_SETS), n=st.integers(1, 400), k=st.integers(4, 14),
-       j=st.integers(3, 14))
-@example(desc="all", n=1, k=4, j=0)
-@example(desc="all", n=2, k=4, j=0)
-@example(desc="all", n=40, k=4, j=0)  # one pair per chunk, then chunks of one product
-@example(desc="thinned:0.4:20260825", n=4, k=4, j=3)  # S_Q(4) = {1}
-def test_aq_kernels_match_outer_product(desc, n, k, j):
-    ps = resolve_prime_set(desc, 400)
-    bm = counting._sq_bitmap(ps, n)
-    members = np.flatnonzero(bm)
-    expected = len(np.unique(np.outer(members, members)))
-    # pair budgets from 8 to 16,384 (1 in the examples) against up to 80,200
-    # pairs, so chunks split, halve and double across the product range
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(counting, "_AQ_SEGMENT", 1 << k)
-        m.setattr(counting, "_AQ_PAIRS", 1 << j)
-        assert counting._aq_bitmap(bm, n) == expected
-        assert counting._aq_sorted(members, n) == expected
-
-
 @pytest.mark.parametrize("desc", AQ_SETS)
 def test_aq_row_bound_keeps_every_product(desc):
-    # the bitmap kernel's row bound without segments: row a > 1 takes only
-    # b >= first(a) = max(a, n // p + 1), p the smallest prime factor of a,
-    # and row 1 takes every b
+    # the curve's rows without its buffer: for n in S_Q, the k with n*k = a*b
+    # for members a, b < n are the cells a*b, b <= n/g_i - 1 in S_Q, of the
+    # rows a in [g_{i-1}, g_i), g_i the divisors of n up to sqrt(n); and row
+    # a > 1, p = spf(a), may start at b = max(a, cap[a/p] // p + 1)
     ps = resolve_prime_set(desc, 200)
-    spf = _smallest_prime_factors(200)
-    for n in range(1, 201):
-        members = np.flatnonzero(counting._sq_bitmap(ps, n))
-        first = np.maximum(members, n // spf[members] + 1)
-        first[members == 1] = 1
-        table = np.outer(members, members)
-        kept = table[members[None, :] >= first[:, None]]
-        assert np.array_equal(np.unique(kept), np.unique(table))
+    member = counting._sq_bitmap(ps, 200).tolist()
+    spf = _smallest_prime_factors(200).tolist()
+    for n in range(2, 201):
+        if not member[n]:
+            continue
+        below = np.flatnonzero(member[:n])
+        prods = np.outer(below, below)
+        old = set((prods[prods % n == 0] // n).tolist())
+        cap, cells, kept, lo = {}, set(), set(), 1
+        for g in (d for d in range(2, math.isqrt(n) + 1) if n % d == 0):
+            c = n // g - 1
+            for a in (a for a in range(lo, g) if member[a]):
+                b0 = max(a, cap[a // spf[a]] // spf[a] + 1) if a > 1 else 1
+                cap[a] = c
+                row = [b for b in range(1, c + 1) if member[b]]
+                cells.update(a * b for b in row)
+                kept.update(a * b for b in row if b >= b0)
+            lo = g
+        assert old == cells == kept, n
 
 
 def test_count_aq_dense_sets_across_segments():
-    # counts from the bitmap kernel before it had a row bound; N^2 spans
-    # 48 and 12 segments of 2^23 cells
+    # counts from the segmented bitmap kernel that the curve replaced; its
+    # N^2 spanned 48 and 12 segments of 2^23 cells
     for desc, n, value in (("all", 20_000, 87_938_320),
                            ("thinned:0.9:1", 10_000, 16_481_236)):
-        res = count_aq(resolve_prime_set(desc, n), n)
-        assert res.method == "segmented-bitmap"
-        assert res.value == value
+        assert count_aq(resolve_prime_set(desc, n), n).value == value
 
 
 def test_thinned_set_below_its_first_prime_is_one():
     ps = resolve_prime_set("thinned:0.4:20260825", 400)
     assert np.flatnonzero(counting._sq_bitmap(ps, 4)).tolist() == [1]
     assert count_aq(ps, 4).value == 1
+    assert aq_curve(ps, 4).tolist() == [0, 1, 1, 1, 1]
 
 
 def test_count_aq_past_uint32_products():
-    # N^2 = 4.9e9 > 2^32; the bitmap kernel gave this count
-    n = 70_000
-    res = count_aq(resolve_prime_set("thinned:0.2:3", n), n)
-    assert res.method == "sorted-products"
-    assert res.value == 5_692_997
-
-
-def test_sorted_chunks_span_at_most_2_32_products(monkeypatch):
-    # a pair budget above all 725,410 pairs, so the first chunk spans the
-    # whole cap; a chunk past 2^32 products would wrap 23 of them onto
-    # others.  The bitmap kernel gave this count.
-    monkeypatch.setattr(counting, "_AQ_PAIRS", 1 << 20)
-    n = 100_000
-    members = np.flatnonzero(counting._sq_bitmap(resolve_prime_set("thinned:0.1:3", n), n))
-    assert counting._aq_sorted(members, n) == 710_483
+    # N^2 = 4.9e9 and 1e10, past 2^32; the removed bitmap and sorted kernels
+    # gave these counts
+    for desc, n, value in (("thinned:0.2:3", 70_000, 5_692_997),
+                           ("thinned:0.1:3", 100_000, 710_483)):
+        assert count_aq(resolve_prime_set(desc, n), n).value == value
 
 
 def test_count_aq_validation(ps_all):
@@ -357,6 +365,11 @@ def test_count_aq_validation(ps_all):
         count_aq(ps_all, 2_000_000)
     with pytest.raises(ValueError, match="capped"):
         count_aq(ps_all, counting.MAX_N_AQ + 1)
+    for n in (0, math.nan, counting.MAX_N_AQ + 1):
+        with pytest.raises(ValueError, match="aq_curve"):
+            aq_curve(ps_all, n)
+    with pytest.raises(ValueError, match="materialized"):
+        aq_curve(make_prime_set("all", 1000), 2000)
 
 
 def test_count_rough_known_values(ps_all):

@@ -67,10 +67,10 @@ def test_aq_dichotomy_manifest_records_count_aq_timing(tmp_path):
     res = run_experiment("aq-dichotomy", cfg, tmp_path)
     timings = _sections(res, "count_aq")
     rows = res.tables["aq_dichotomy"]
-    assert [(t["q"], t["n"]) for t in timings] == [(r["q"], r["n"]) for r in rows]
-    # the dense set keeps the bitmap kernel, the sparse one is sorted
-    kernel = {"all": "segmented-bitmap", "thinned:0.4": "sorted-products"}
-    assert [t["method"] for t in timings] == [kernel[r["q"]] for r in rows]
+    # one curve per set, to the top of the grid, by the one method
+    top = max(cfg["n_grid"])
+    assert [(t["q"], t["n"], t["method"]) for t in timings] == \
+        [(q, top, "increments") for q in dict.fromkeys(r["q"] for r in rows)]
     assert [s["q"] for s in _sections(res, "prime_set")] == \
         list(dict.fromkeys(r["q"] for r in rows))
     assert json.loads(res.manifest_path.read_text())["peak_rss_mb"] > 0

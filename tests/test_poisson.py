@@ -146,6 +146,21 @@ def test_poisson_sum_log_matches_the_loop_on_the_regime_grid(lam, v):
     assert poisson_sum_log(lam, v) == reference_poisson_sum_log(lam, v)
 
 
+@pytest.mark.parametrize("lam,v", [(0.5, 10), (7.5, 20), (50.0, 2000), (1e4, 1000),
+                                   (1e4, 30_000), (1e-300, 30_000)])
+def test_poisson_sum_log_drops_only_terms_exp_sends_to_zero(lam, v):
+    # the log-sum with every term passed to math.exp, as before the filter
+    k = np.arange(1, v + 1)
+    lg = np.cumsum(np.fromiter(map(math.log, range(1, v + 1)), np.float64, v))
+    ratio_logs = np.fromiter(map(math.log, ((v - k + 1) / v).tolist()), np.float64, v)
+    logs = k * math.log(lam) - lg + ratio_logs
+    m = float(logs.max())
+    unfiltered = m + math.log(math.fsum(map(math.exp, (logs - m).tolist())))
+    assert poisson_sum_log(lam, v) == unfiltered
+    if v >= 2000:
+        assert np.count_nonzero(logs - m < -746) > 0  # the filter drops terms here
+
+
 @pytest.mark.parametrize("v", [5.0, 2.5, True, False, "5", None, 0, -3])
 def test_every_sum_rejects_a_v_that_is_not_a_positive_int(v):
     calls = (lambda: poisson_sum(3, v), lambda: poisson_sum(3.0, v),

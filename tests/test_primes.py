@@ -91,6 +91,18 @@ def test_make_prime_set_rejects_non_integral_parameters():
 
 
 @pytest.mark.parametrize("kind,kwargs", [
+    ("thinned", {"target_density": 0.5, "seed": math.inf}),
+    ("thinned", {"target_density": 0.5, "seed": math.nan}),
+    ("congruence", {"modulus": math.inf, "residues": [1]}),
+    ("congruence", {"modulus": 4, "residues": [-math.inf]}),
+])
+def test_make_prime_set_rejects_non_finite_integers(kind, kwargs):
+    # int() raises OverflowError on an infinity; the set names the parameter
+    with pytest.raises(ValueError, match="must be an integer"):
+        make_prime_set(kind, 100, **kwargs)
+
+
+@pytest.mark.parametrize("kind,kwargs", [
     ("random", {}),
     ("all", {"limit": 1}),
     ("congruence", {"residues": [1]}),
