@@ -326,13 +326,13 @@ def _crit_counting(ctx: Context) -> tuple[bool, str]:
 
 def _rough_scaled(ctx: Context) -> dict[str, list[float]]:
     out = {}
-    for kind, delta in (("all", 1.0), ("1mod4", 0.5)):
+    for kind in ("all", "1mod4"):
         ps = ctx.prime_set(kind, ROUGH_X)
         vals = []
         for z in ROUGH_Z_GRID:
             c = count_rough(ps, ROUGH_X, z)
-            vals.append(c * math.log(ROUGH_X) ** (1.0 - delta)
-                        * math.log(z) ** delta / ROUGH_X)
+            vals.append(c * math.log(ROUGH_X) ** (1.0 - ps.delta)
+                        * math.log(z) ** ps.delta / ROUGH_X)
         out[kind] = vals
     return out
 
@@ -496,12 +496,12 @@ def _hq_ratios(ctx: Context) -> dict[str, list[float]]:
     (x,) = HQ_SCAN_DEFAULTS["x_grid"]  # the fixture bands hold one x
     zf = HQ_SCAN_DEFAULTS["z_factor"]
     out = {}
-    for kind, delta in (("all", 1.0), ("1mod4", 0.5)):
+    for kind in ("all", "1mod4"):
         ps = ctx.prime_set(kind, int(x))
         ratios = []
         for y in HQ_SCAN_DEFAULTS["y_grid"]:
             h = count_hq(ps, x, y, zf * y).value
-            ratios.append(h / main_term(x, y, delta))
+            ratios.append(h / main_term(x, y, ps.delta))
         out[kind] = ratios
     return out
 

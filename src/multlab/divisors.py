@@ -76,6 +76,8 @@ def enumerate_sq(ps: PrimeSet, x: float) -> np.ndarray:
     Never filters the integers: builds products of Q-primes (with repetition)
     directly, so the cost is about proportional to the output size.
     """
+    if math.isnan(x):
+        raise ValueError(f"enumerate_sq requires a number x, got {x}")
     if x < 1:
         return np.zeros(0, dtype=np.int64)
     if ps.limit < x:

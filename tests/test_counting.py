@@ -1,10 +1,12 @@
 """Counting functions: H_Q by two methods plus a brute-force oracle, A_Q,
 and rough numbers."""
 
+import ast
 import dataclasses
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +58,7 @@ def test_count_hq_empty_interval_is_zero(ps_all, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a kernel ran on an empty interval")
 
-    monkeypatch.setattr(counting, "_divisor_table", forbidden)
+    monkeypatch.setattr(counting, "enumerate_sq", forbidden)
     monkeypatch.setattr(counting, "_sq_bitmap", forbidden)
     # y >= z, (y, z] free of integers, and y >= x
     for y, z in ((6, 6), (7, 6), (6.2, 6.8), (100, 200)):
@@ -424,17 +426,45 @@ def test_squarefree_walk_matches_l_measure_on_thinned_set(ps_thinned):
         assert l_measure(a) == pytest.approx(expected, rel=1e-12)
 
 
-def test_divisor_table_rows_match_divisors(monkeypatch):
-    monkeypatch.setattr(counting, "_div_table", None)
-    # build at 500, then grow to 3000: the growth rebuilds the global table
-    for n in (500, 3000):
-        offsets, divs = counting._divisor_table(n)
-        assert len(offsets) == n + 2 and offsets[0] == offsets[1] == 0
-        assert offsets[-1] == len(divs)
-        for m in range(1, n + 1):
-            assert divs[offsets[m]:offsets[m + 1]].tolist() == divisors(m), m
-    # a smaller request is served by the grown table
-    assert counting._divisor_table(100)[1] is divs
+def test_count_hq_exhaustive_matches_divisors_of_each_n(ps_all, ps_1mod4, ps_thinned):
+    x = 3000
+    # (0, x] has about x log x multiples: blocks of x + 1 pairs, several of them
+    assert sum(x // d for d in range(1, x + 1)) > 5 * (x + 1)
+    for ps in (ps_all, ps_1mod4, ps_thinned):
+        rows = [divisors(n) for n in range(1, x + 1) if in_sq(ps, n)]
+        # d = 1 in range, z at and past x, narrow and broad (y, z]
+        for y, z in ((0, 1), (0.5, math.inf), (0.9, 40), (10, 400), (700, x),
+                     (30, 5 * x), (2, 3), (5.5, 7)):
+            expected = sum(any(y < d <= z for d in row) for row in rows)
+            assert count_hq(ps, x, y, z, method="exhaustive").value == expected, (
+                ps.kind, y, z)
+    # the multiples of 3, 6 and 7, non-members of S_Q for 1 mod 4, hold no member
+    for y, z in ((2, 3), (5.5, 7)):
+        assert count_hq(ps_1mod4, x, y, z, method="exhaustive").value == 0
+
+
+def test_count_hq_exhaustive_keeps_one_array_of_marks():
+    # a divisor table over [0, x], as this method once built, took 172 bytes a cell
+    x = 2**18
+    ps = make_prime_set("all", x)
+    tracemalloc.start()
+    try:
+        value = count_hq(ps, x, 0.5, math.inf, method="exhaustive").value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == x
+    assert peak < 64 * x, peak
+
+
+def test_src_sets_no_module_global():
+    # no call leaves state in a module for the next: a cache lives in an object
+    # its caller holds, as acceptance's Context holds its prime sets
+    sources = sorted(Path(counting.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)], path
 
 
 BITMAP_SETS = ("all", "thinned:0.4:7", "congruence:3:2", "congruence:8:1+3")
@@ -530,6 +560,5 @@ def test_count_hq_methods_stay_independent(monkeypatch):
         expected = count_hq(blank, x, y, z, method="exhaustive").value
     assert expected > 0
     with monkeypatch.context() as m:
-        m.setattr(counting, "_divisor_table", forbidden)
         m.setattr(counting, "enumerate_sq", forbidden)
         assert count_hq(ps, x, y, z, method="divisor-multiples").value == expected

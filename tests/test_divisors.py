@@ -97,6 +97,14 @@ def test_enumerate_sq_requires_materialized_primes():
         enumerate_sq(tiny, 100)
 
 
+def test_enumerate_sq_names_a_nan_x(ps_all):
+    with pytest.raises(ValueError, match=r"enumerate_sq requires a number x, got nan"):
+        enumerate_sq(ps_all, math.nan)
+    with pytest.raises(ValueError, match="x = inf"):
+        enumerate_sq(ps_all, math.inf)
+    assert enumerate_sq(ps_all, -math.inf).tolist() == []
+
+
 @pytest.mark.parametrize("desc", ["thinned:0.4:7", "congruence:3:2", "congruence:8:1+3"])
 def test_walkers_match_brute_force(desc):
     ps = resolve_prime_set(desc, 3000)
