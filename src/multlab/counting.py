@@ -4,12 +4,15 @@ products, and rough numbers.
 H_Q(x, y, z) counts n in S_Q, n <= x, having a divisor in (y, z]; A_Q(N) counts
 distinct products ab with a, b in S_Q up to N.  Two independent H_Q methods are
 kept deliberately separate so they cross-validate each other.  S_Q membership
-up to x is a view of the prime set's own bitmap, built with the set, to its
-limit.  No kernel branches on the kind of prime set.  Because S_Q is closed
-under divisors, the divisor-multiples method marks the multiples of the members
-d in (y, z] and intersects the marks with the bitmap, and a rough count takes
-the multiples of the Q-primes up to z from S_Q, both by primes.mark_multiples
-one cache-sized window of [0, x] at a time.  A_Q(n) for every n <= N comes
+up to x is read from the prime set's own bitmap, one bit per integer, built
+with the set, to its limit: count_sq counts its set bits, and _sq_bitmap is
+the one reader that unpacks a range of it into bools.  No kernel branches on
+the kind of prime set.  Because S_Q is closed under divisors, the
+divisor-multiples method marks the multiples of the members d in (y, z] and
+intersects the marks with the bitmap, and a rough count takes the multiples
+of the Q-primes up to z from S_Q, both by primes.mark_multiples one
+cache-sized window of [0, x] at a time, packed and ANDed with the bitmap's
+bytes before the bits are counted.  A_Q(n) for every n <= N comes
 from one pass over the members n of S_Q: the products n*k that are not new
 are the products in a few rectangles fixed by the divisors of n, marked one
 strided write per member row in a buffer of N + 1 cells.  Only the
@@ -43,25 +46,36 @@ class CountResult:
     method: str
 
 
-def _sq_bitmap(ps: PrimeSet, x: int) -> np.ndarray:
-    """Membership bitmap of S_Q over [0, x]: a view of the set's own bitmap."""
+def _sq_bitmap(ps: PrimeSet, x: int, lo: int = 0) -> np.ndarray:
+    """Membership of S_Q over [lo, x] as x + 1 - lo bools, unpacked from the
+    bytes of the set's own bitmap, one bit per integer, that cover it."""
     # a slice past the end is silently short, so an x beyond the limit is an error
     if ps.limit < x:
         raise ValueError(f"prime set materialized to {ps.limit} < x = {x}")
-    return ps.sq_bitmap[: x + 1]
+    skip = lo // 8  # whole bytes below lo
+    bits = np.unpackbits(ps.sq_bitmap[skip : x // 8 + 1], bitorder="little")
+    return bits[lo - 8 * skip : x + 1 - 8 * skip].view(bool)
 
 
-def _count_multiples(bm: np.ndarray, xi: int, steps: np.ndarray) -> int:
-    """Cells n in [1, xi] set in bm that are a multiple of one of the ascending
-    int64 steps, marked one window of [0, xi] at a time in one buffer: at most
-    one window per primes.SIEVE_SEGMENT cells, and never so many that the
-    largest step writes fewer than 256 cells in one, so a broad set of steps
-    takes one window.  At most SIEVE_SEGMENT steps are Python ints at once."""
+def _popcount(bits: np.ndarray) -> int:
+    """Set bits in a uint8 array, counted primes.SIEVE_SEGMENT bytes at a time."""
+    seg = primes.SIEVE_SEGMENT
+    return sum(int(np.bitwise_count(bits[i : i + seg]).sum()) for i in range(0, bits.size, seg))
+
+
+def _count_multiples(ps: PrimeSet, xi: int, steps: np.ndarray) -> int:
+    """Members n in [1, xi] of S_Q that are a multiple of one of the ascending
+    int64 steps, marked one window of [0, xi] at a time in one buffer, packed
+    and ANDed with the set's bitmap: at most one window per
+    primes.SIEVE_SEGMENT cells, and never so many that the largest step writes
+    fewer than 256 cells in one, so a broad set of steps takes one window.
+    Each window is a multiple of 8 cells, so it packs onto whole bytes.  At
+    most SIEVE_SEGMENT steps are Python ints at once."""
     if not steps.size:
         return 0
     seg = primes.SIEVE_SEGMENT
     windows = max(1, min(-(-(xi + 1) // seg), xi // int(steps[-1]) // 256))
-    width = -(-(xi + 1) // windows)
+    width = -(-(xi + 1) // (8 * windows)) * 8
     marked = np.zeros(width, dtype=bool)
     value = 0
     for lo in range(0, xi + 1, width):
@@ -69,8 +83,9 @@ def _count_multiples(bm: np.ndarray, xi: int, steps: np.ndarray) -> int:
         window[:] = False
         for i in range(0, steps.size, seg):
             primes.mark_multiples(window, lo, steps[i : i + seg].tolist(), True)
-        window &= bm[lo : lo + width]
-        value += int(np.count_nonzero(window))
+        packed = np.packbits(window, bitorder="little")
+        packed &= ps.sq_bitmap[lo // 8 : lo // 8 + packed.size]
+        value += _popcount(packed)
     return value
 
 
@@ -110,10 +125,9 @@ def count_hq(
     if method == "divisor-multiples":
         # exact because S_Q is closed under divisors: a member with a divisor
         # in (y, z] is a multiple of a member there
-        bm = _sq_bitmap(ps, xi)
-        ds = np.flatnonzero(bm[d_lo : d_hi + 1])
+        ds = np.flatnonzero(_sq_bitmap(ps, d_hi, d_lo))
         ds += d_lo
-        return CountResult(_count_multiples(bm, xi, ds), method)
+        return CountResult(_count_multiples(ps, xi, ds), method)
 
     # every d in range, member or not, so no membership enters the marks
     ds = np.arange(d_lo, d_hi + 1, dtype=np.int64)
@@ -138,7 +152,11 @@ def count_sq(ps: PrimeSet, x: float) -> int:
     xi = int(math.floor(x))
     if xi < 1:
         return 0
-    return int(np.count_nonzero(_sq_bitmap(ps, xi)))
+    if ps.limit < xi:
+        raise ValueError(f"prime set materialized to {ps.limit} < x = {xi}")
+    full, rest = divmod(xi + 1, 8)  # the bytes wholly in [0, x], and the bits past them
+    tail = int(ps.sq_bitmap[full]) & ((1 << rest) - 1) if rest else 0
+    return _popcount(ps.sq_bitmap[:full]) + tail.bit_count()
 
 
 # The cap is run time: the curve for the set of all primes, the densest set,
@@ -218,6 +236,5 @@ def count_rough(ps: PrimeSet, x: float, z: float) -> int:
     if not 1 <= x < math.inf or math.isnan(z):
         raise ValueError(f"count_rough requires a finite x >= 1 and a z, got {x}, {z}")
     xi = int(math.floor(x))
-    bm = _sq_bitmap(ps, xi)
     qs = ps.members[: bisect_right(ps.members, min(z, xi))]
-    return count_sq(ps, xi) - _count_multiples(bm, xi, qs)
+    return count_sq(ps, xi) - _count_multiples(ps, xi, qs)

@@ -192,7 +192,7 @@ def run_hq_scan(cfg: dict, rep: _Reporter) -> None:
         raise ConfigError(f"hq-scan: limit must be at least {AUDIT_X_MIN}, got {limit}")
     if limit < max(x_grid):
         raise ConfigError(f"hq-scan: limit {limit} below max x {max(x_grid)}")
-    if not min(x_grid) >= max(y_grid) > math.e:
+    if not (min(x_grid) >= max(y_grid) and min(y_grid) > math.e):
         raise ConfigError(f"hq-scan: need every x >= every y > e, got x_grid "
                           f"{x_grid}, y_grid {y_grid}")
     if zf <= 1.0:

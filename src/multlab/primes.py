@@ -8,7 +8,9 @@ each prime independently with probability delta* (decided by a keyed hash, so
 the set is a pure function of the seed).  make_prime_set sieves once to the
 limit; the primes it keeps are the members, and the primes it leaves out
 build the set's S_Q bitmap by a complement sieve, so every set carries its
-bitmap from construction on.  mark_multiples, the one kernel that writes a
+bitmap from construction on.  The bitmap holds one bit per integer in
+[0, limit], packed little-endian into uint8 bytes (np.packbits), window by
+window as the sieve goes.  mark_multiples, the one kernel that writes a
 value into the multiples of some steps, serves that sieve, the counting
 module's H_Q and rough counts, and divisors.squarefree_lw's squareful marks.
 """
@@ -22,6 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 LOG2 = math.log(2.0)
+# the largest limit of a prime set: its S_Q bitmap holds one bit per integer,
+# so 2^31 bits = 256 MB
 MAX_X_BITMAP = 1 << 31
 # factorize finds every prime factor of a modulus up to 2^32 in its table of
 # the primes below 2^16, so phi(modulus) costs one pass over that table at most
@@ -31,6 +35,7 @@ MAX_MODULUS = 1 << 32
 # counting module's marks hold as Python ints at once
 SIEVE_SEGMENT = 1 << 20
 MERTENS_BLOCK = 1 << 15  # members per block of mertens_sum
+KEEP_BLOCK = 1 << 16  # primes per block of the thinned sets' hash
 AUDIT_X_MIN = 16  # the smallest x of a density audit grid
 
 _MASK64 = (1 << 64) - 1
@@ -39,7 +44,9 @@ _MASK64 = (1 << 64) - 1
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit, ascending, by an odd-only segmented sieve.
 
-    Memory stays O(sqrt(limit) + SIEVE_SEGMENT) plus the output array.
+    Memory stays O(sqrt(limit) + SIEVE_SEGMENT) plus the output array, which
+    is sized by Dusart's bound pi(x) <= x / ln x * (1 + 1.2762 / ln x), x > 1,
+    and filled segment by segment.
     """
     if limit < 2:
         raise ValueError(f"sieve_primes requires limit >= 2, got {limit}")
@@ -50,20 +57,28 @@ def _segmented_sieve(limit: int) -> np.ndarray:
     # the odd base primes up to sqrt(limit) come from this same sieve
     root = math.isqrt(limit)
     base_primes = _segmented_sieve(root)[1:].tolist() if root >= 3 else []
-    chunks = [np.array([2], dtype=np.int64)]
+    log = math.log(limit)
+    out = np.empty(int(limit / log * (1.0 + 1.2762 / log)) + 1, dtype=np.int64)
+    out[0], size = 2, 1
+    buffer = np.empty(SIEVE_SEGMENT, dtype=bool)
     lo = 3  # stays odd: each step is 2 * SIEVE_SEGMENT, and the last ends the loop
     while lo <= limit:
         hi = min(lo + 2 * SIEVE_SEGMENT, limit + 1)
-        seg = np.ones((hi - lo + 1) // 2, dtype=bool)  # index i -> lo + 2i
+        seg = buffer[: (hi - lo + 1) // 2]  # index i -> lo + 2i
+        seg[:] = True
         for p in base_primes:
             start = max(p * p, ((lo + p - 1) // p) * p)
             if start % 2 == 0:
                 start += p
             if start < hi:
                 seg[(start - lo) // 2 :: p] = False
-        chunks.append(lo + 2 * np.nonzero(seg)[0])  # intp: int64 on 64-bit builds
+        found = out[size : size + np.count_nonzero(seg)]
+        found[:] = np.flatnonzero(seg)
+        found *= 2
+        found += lo
+        size += len(found)
         lo = hi
-    return np.concatenate(chunks)
+    return out[:size]
 
 
 def mark_multiples(window: np.ndarray, lo: int, steps, value) -> None:
@@ -96,17 +111,19 @@ def _splitmix64(x: np.ndarray | int):
 @dataclass(frozen=True, eq=False)
 class PrimeSet:
     """A materialized prime set: members, nominal density, provenance, and
-    the read-only membership bitmap of S_Q over [0, limit], True at n iff all
-    prime factors of n are in Q (index 0 False, index 1 True).  Built by
-    make_prime_set, which fills every field from one sieve.  Sets compare
-    and hash by identity: their fields are arrays."""
+    the read-only membership bitmap of S_Q over [0, limit], one bit per
+    integer: bit n % 8 of byte n // 8 is set iff all prime factors of n are
+    in Q (bit 0 clear, bit 1 set, and the bits past limit clear), so it is
+    (limit + 8) // 8 bytes.  Built by make_prime_set, which fills every field
+    from one sieve.  Sets compare and hash by identity: their fields are
+    arrays."""
 
     kind: str  # "all" | "congruence" | "thinned"
     limit: int
     delta: float
     members: np.ndarray  # ascending int64
     params: dict
-    sq_bitmap: np.ndarray = field(repr=False)
+    sq_bitmap: np.ndarray = field(repr=False)  # uint8, np.packbits(..., bitorder="little")
 
     def descriptor(self) -> dict:
         """JSON-safe summary used in manifests and count results."""
@@ -120,27 +137,48 @@ class PrimeSet:
 
 
 def _complement_sieve(limit: int, excluded: np.ndarray) -> np.ndarray:
-    """Read-only bitmap of S_Q over [0, limit], from the ascending primes
-    <= limit outside Q: clears their multiples by mark_multiples up to
-    sqrt(limit), one window of SIEVE_SEGMENT cells at a time, then per
-    cofactor k in S_Q beyond it."""
+    """Read-only bitmap of S_Q over [0, limit], one bit per integer, from the
+    ascending primes <= limit outside Q: bit n % 8 of byte n // 8 is set iff
+    n is in S_Q (np.packbits' little bit order), and the bits past limit are
+    clear.  One window of bools, a multiple of 8 cells near SIEVE_SEGMENT, is
+    sieved and packed at a time: mark_multiples clears the multiples of the
+    excluded primes up to sqrt(limit), and one gather clears the window's
+    products k*p of the larger ones."""
     x = int(limit)
-    bm = np.ones(x + 1, dtype=bool)
-    bm[0] = False
     split = int(np.searchsorted(excluded, math.isqrt(x), side="right"))
-    small = excluded[:split].tolist()
-    for lo in range(0, x + 1, SIEVE_SEGMENT):
-        mark_multiples(bm[lo : lo + SIEVE_SEGMENT], lo, small, False)
-    # A multiple k*p <= x of an excluded p > sqrt(x) has k < sqrt(x), so
-    # loop over the cofactor k and clear every such p at once.  A k with an
-    # excluded factor q <= k < sqrt(x) is already False, and so is every k*p,
-    # a multiple of q: only the k still True need the loop.
-    large = excluded[split:]
+    small, large = excluded[:split].tolist(), excluded[split:]
+    # A multiple k*p <= x of an excluded p > sqrt(x) has k < sqrt(x).  A k with
+    # an excluded factor q <= k < sqrt(x) is cleared as a multiple of q, with
+    # every k*p, so only the cofactors k in S_Q need the gather.
     k_max = x // int(large[0]) if len(large) else 0
-    for k in (np.flatnonzero(bm[1 : k_max + 1]) + 1).tolist():
-        bm[large[: np.searchsorted(large, x // k, side="right")] * k] = False
-    bm.flags.writeable = False
-    return bm
+    live = np.ones(k_max + 1, dtype=bool)
+    mark_multiples(live, 0, small[: bisect_right(small, k_max)], False)
+    ks = np.flatnonzero(live[1:]) + 1
+    width = max(8, SIEVE_SEGMENT // 8 * 8)
+    window = np.empty(width, dtype=bool)
+    bits = np.empty((x + 8) // 8, dtype=np.uint8)
+    for lo in range(0, x + 1, width):
+        cells = window[: x + 1 - lo]
+        cells[:] = True
+        if lo == 0:
+            cells[0] = False
+        mark_multiples(cells, lo, small, False)
+        # the p of row k with lo <= k*p < lo + len(cells) are large[start:stop]
+        start = np.searchsorted(large, -(-lo // ks))
+        runs = np.searchsorted(large, (lo + len(cells) - 1) // ks, side="right") - start
+        total = int(runs.sum())
+        if total:
+            at = np.arange(total, dtype=np.int64)
+            at += np.repeat(start + runs - np.cumsum(runs), runs)
+            hit = large[at]
+            del at
+            hit *= np.repeat(ks, runs)
+            hit -= lo
+            cells[hit] = False
+            del hit
+        bits[lo // 8 : (lo + len(cells) + 7) // 8] = np.packbits(cells, bitorder="little")
+    bits.flags.writeable = False
+    return bits
 
 
 def _integer(name: str, value) -> int:
@@ -199,13 +237,19 @@ def make_prime_set(
         delta, seed = float(target_density), _integer("seed", seed)
         params = {"target_density": delta, "seed": seed}
         mixed = np.uint64(_splitmix64(seed))  # hash / 2^64 < 1: density 1.0 keeps all
-        keep = lambda primes: (_splitmix64(primes.astype(np.uint64) ^ mixed) / 2.0**64
-                               < target_density)
+
+        def keep(primes):  # hashed KEEP_BLOCK primes at a time
+            kept = np.empty(len(primes), dtype=bool)
+            for i in range(0, len(primes), KEEP_BLOCK):
+                block = primes[i : i + KEEP_BLOCK].astype(np.uint64) ^ mixed
+                kept[i : i + KEEP_BLOCK] = _splitmix64(block) / 2.0**64 < target_density
+            return kept
     else:
         raise ValueError(f"unknown prime set kind: {kind!r}")
     primes = sieve_primes(limit)
     kept = keep(primes)
-    members, excluded = primes[kept], primes[~kept]
+    excluded = primes[~kept]
+    members = primes[kept] if len(excluded) else primes  # no copy when Q keeps all
     del primes, kept
     return PrimeSet(kind, limit, delta, members, params, _complement_sieve(limit, excluded))
 

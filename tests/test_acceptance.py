@@ -5,7 +5,9 @@ here loosens on failure.  A criterion that fails shows up red, with its
 details line in the assertion message.
 """
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,24 @@ def test_band_check_holds_every_value_to_its_fixture():
     assert not acceptance._check_bands({"all": [1.0, 2.001]}, fix, 2.5)[0]
     with pytest.raises(ValueError):  # a short fixture must not pass silently
         acceptance._check_bands({"all": [1.0, 2.0, 1.5]}, fix, 2.5)
+
+
+def test_derive_fixtures_check_writes_nothing(tmp_path, monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "derive_fixtures.py"
+    spec = importlib.util.spec_from_file_location("derive_fixtures", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    bands = tmp_path / "bands.json"
+    monkeypatch.setattr(script, "BANDS", bands)
+    monkeypatch.setattr(script, "oracle_sweep", lambda seed: {"all": [1.0, 2.0]})
+    stale = '{\n  "all": [\n    1.0,\n    3.0\n  ]\n}\n'
+    bands.write_text(stale, encoding="utf-8")
+    assert script.main(["--check"]) == 1
+    assert "+    2.0" in capsys.readouterr().out
+    assert bands.read_text(encoding="utf-8") == stale
+    assert script.main([]) == 0
+    assert script.main(["--check"]) == 0
+    assert bands.read_text(encoding="utf-8") == stale.replace("3.0", "2.0")
 
 
 def test_lw_walks_every_squarefree_a(ctx):

@@ -138,6 +138,7 @@ MINI_CONFIGS = {
     ("hq-scan", "limit = [1, 2]"),
     ("hq-scan", "x_grid = [0]"),
     ("hq-scan", "y_grid = [2.0]"),
+    ("hq-scan", "y_grid = [0.5, 20.0]"),
     ("hq-scan", 'method = "fast"'),
     ("hq-scan", "seed = abc"),
     ("hq-scan", "seed = 1.5"),
@@ -163,7 +164,8 @@ def test_bad_config_values_exit_2(tmp_path, capsys, name, line):
     # curve, seed = 1.5 was recorded but keyed sets by 1, n_grid = [100.7]
     # counted N = 100, barrier_m_offset changed nothing, delta_step = 1e-12 asked
     # for 7e11 rows, limit = 10 reached the density audit, whose grid starts at
-    # 16); now the config boundary names the value (later lines win)
+    # 16, and a y below e in a grid whose largest y passed died in the predictor
+    # with exit 3); now the config boundary names the value (later lines win)
     cfg = write_cfg(tmp_path, MINI_CONFIGS[name] + line + "\n")
     assert main([name, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err

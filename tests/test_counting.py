@@ -480,12 +480,53 @@ def test_sq_bitmap_matches_in_sq(desc):
         if x >= 2:  # a prime set needs limit >= 2
             fresh = resolve_prime_set(desc, x)
             assert counting._sq_bitmap(fresh, x).tolist() == expected[: x + 1], x
-    # shorter bitmaps of one set are views of its limit-2000 bitmap
-    full = ps.sq_bitmap
+    # shorter bitmaps of one set are unpacked from its limit-2000 bitmap, from
+    # the bytes that cover [lo, x] alone
     for x in BITMAP_XS:
-        bm = counting._sq_bitmap(ps, x)
-        assert np.shares_memory(bm, full)
-        assert bm.tolist() == expected[: x + 1], x
+        assert counting._sq_bitmap(ps, x).tolist() == expected[: x + 1], x
+        for lo in (0, 1, 7, 8, 9, x // 2, x):
+            if lo <= x:
+                assert counting._sq_bitmap(ps, x, lo).tolist() == expected[lo : x + 1], (lo, x)
+
+
+@st.composite
+def bitmap_windows(draw):
+    """A set of all primes, a congruence set or a thinned set, to a drawn limit,
+    and a window [lo, hi) of [0, limit], often one that ends at the limit."""
+    limit = draw(st.integers(2, 600))
+    kind = draw(st.sampled_from(("all", "congruence", "thinned")))
+    if kind == "all":
+        ps = make_prime_set("all", limit)
+    elif kind == "congruence":
+        m = draw(st.integers(3, 12))
+        units = [a for a in range(1, m) if math.gcd(a, m) == 1]
+        residues = draw(st.lists(st.sampled_from(units), min_size=1, unique=True))
+        ps = make_prime_set("congruence", limit, modulus=m, residues=residues)
+    else:
+        ps = make_prime_set("thinned", limit, target_density=draw(st.floats(0.2, 0.9)),
+                            seed=draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(0, limit))
+    hi = draw(st.one_of(st.just(limit + 1), st.integers(lo + 1, limit + 1)))
+    return ps, lo, hi
+
+
+@settings(max_examples=200)
+@given(bitmap_windows())
+@example((make_prime_set("congruence", 100, modulus=4, residues=(1,)), 3, 13))
+@example((make_prime_set("congruence", 100, modulus=4, residues=(1,)), 97, 101))
+@example((make_prime_set("thinned", 203, target_density=0.5, seed=1), 195, 204))
+@example((make_prime_set("all", 16), 8, 16))
+@example((make_prime_set("all", 16), 16, 17))
+def test_unpacked_bitmap_and_count_sq_match_factorize(case):
+    # the bits of [lo, hi) and count_sq at every x there, against in_sq, which
+    # factorizes each n; (limit + 1) % 8 takes every value, so windows end
+    # inside the last byte as well as at a byte boundary
+    ps, lo, hi = case
+    member = [False] + [in_sq(ps, n) for n in range(1, hi)]
+    assert counting._sq_bitmap(ps, hi - 1, lo).tolist() == member[lo:]
+    below = np.cumsum(member).tolist()
+    assert [count_sq(ps, x) for x in range(lo, hi)] == below[lo:]
+    assert not np.unpackbits(ps.sq_bitmap, bitorder="little")[ps.limit + 1 :].any()
 
 
 def test_sq_bitmap_belongs_to_its_prime_set():

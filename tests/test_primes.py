@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,7 +61,9 @@ def test_bitmap_windows_are_invisible(monkeypatch):
         for desc, ps in sets.items():
             bm = resolve_prime_set(desc, limit).sq_bitmap
             assert np.array_equal(bm, ps.sq_bitmap), (seg, desc)
-            assert bm.tolist() == expected[desc], (seg, desc)
+            bits = np.unpackbits(bm, bitorder="little").astype(bool)
+            assert bits[: limit + 1].tolist() == expected[desc], (seg, desc)
+            assert not bits[limit + 1 :].any(), (seg, desc)
 
 
 @pytest.mark.parametrize("dtype, fill, value", ((bool, False, True), (np.int8, 5, -1)))
@@ -285,7 +288,8 @@ def test_prime_set_and_its_bitmap_sieve_once(desc, monkeypatch):
 
     monkeypatch.setattr(primes, "sieve_primes", counted)
     ps = resolve_prime_set(desc, 10**4)
-    assert ps.sq_bitmap[1] and not ps.sq_bitmap.flags.writeable
+    assert ps.sq_bitmap[0] & 0b11 == 0b10  # bit 1 set: 1 is in S_Q, and 0 is not
+    assert not ps.sq_bitmap.flags.writeable
     assert calls == [10**4]
 
 
@@ -298,9 +302,30 @@ def test_make_prime_set_rejects_a_limit_past_the_bitmap_cap(monkeypatch):
         make_prime_set("all", primes.MAX_X_BITMAP + 1)
 
 
+@pytest.mark.parametrize("desc", ("all", "congruence:4:1", "thinned:0.4:7"))
+def test_prime_set_bitmap_takes_one_bit_per_integer(desc):
+    limit = 1 << 22
+    ps = resolve_prime_set(desc, limit)
+    assert ps.sq_bitmap.dtype == np.uint8
+    assert ps.sq_bitmap.nbytes == (limit + 8) // 8
+
+
+def test_make_prime_set_peak_memory():
+    # at 2^22 this set peaked at 7.76 MB traced with a byte per integer and at
+    # 5.35 MB with a bit: the primes, the bitmap and one window of each sieve
+    limit = 1 << 22
+    tracemalloc.start()
+    try:
+        make_prime_set("congruence", limit, modulus=4, residues=(1,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * limit // 2, peak
+
+
 def test_prime_set_is_frozen():
     ps = make_prime_set("congruence", 100, modulus=4, residues=(1,))
-    for name, value in (("limit", 200), ("sq_bitmap", np.ones(101, dtype=bool))):
+    for name, value in (("limit", 200), ("sq_bitmap", np.ones(13, dtype=np.uint8))):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(ps, name, value)
 
