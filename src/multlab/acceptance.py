@@ -146,8 +146,11 @@ THREAD_COUNTS = (1, 4, 8)
 
 
 def load_fixtures() -> dict:
-    text = resources.files("multlab").joinpath("fixtures/bands.json").read_text()
-    return json.loads(text)
+    bands = json.loads(resources.files("multlab").joinpath("fixtures/bands.json").read_text())
+    keys = ("hq_ratio", "regime_ratio", "rough_scaled", "uk_envelope_K")  # what the criteria read
+    if missing := [k for k in keys if k not in bands]:
+        raise ValueError(f"fixtures/bands.json lacks the band keys {missing}")
+    return bands
 
 
 @dataclass

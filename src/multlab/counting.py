@@ -14,8 +14,9 @@ of the Q-primes up to z from S_Q, both by primes.mark_multiples one
 cache-sized window of [0, x] at a time, packed and ANDed with the bitmap's
 bytes before the bits are counted.  A_Q(n) for every n <= N comes
 from one pass over the members n of S_Q: the products n*k that are not new
-are the products in a few rectangles fixed by the divisors of n, marked one
-strided write per member row in a buffer of N + 1 cells.  Only the
+lie in a few rectangles fixed by the divisors of n up to sqrt(n), which a
+sieve over the members up to sqrt(N) yields; all but the first are marked,
+one strided write per row, in a buffer of N + 1 bools.  Only the
 exhaustive H_Q method builds S_Q another way, as products of Q-primes, and
 it marks the multiples of every integer in (y, z], a block at a time.
 The kernels return counts and the method they ran; timing a run is the
@@ -25,7 +26,7 @@ experiments' reporter's job.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +161,8 @@ def count_sq(ps: PrimeSet, x: float) -> int:
 
 
 # The cap is run time: the curve for the set of all primes, the densest set,
-# makes about 4.8M slice writes over 4.1e9 cells to N = 1e5, about 7 s on a
-# 2 vCPU Xeon, and its cells grow like N^2.
+# makes about 4.5M slice writes over 2.3e9 cells to N = 1e5 and counts 2.9e9,
+# about 4 s on a 2 vCPU Xeon, and its cells grow like N^2.
 MAX_N_AQ = 100_000
 AQ_METHOD = "increments"
 
@@ -174,10 +175,15 @@ def aq_curve(ps: PrimeSet, n_bound: int) -> np.ndarray:
     1 < g <= sqrt(n) of n (g or n/g is gcd(n, a') for such a pair a', b').  So
     with the divisors 1 = g_0 < g_1 < ... of n up to sqrt(n), each member row
     a in [g_{i-1}, g_i) marks the cells a*b, b <= c = n/g_i - 1 in S_Q, of one
-    buffer; every mark lies below n, and the increment is |S_Q(n)| less the
-    marks.  Row a > 1, p the smallest prime factor of a, starts at b =
-    max(a, cap[a/p] // p + 1): a smaller b is either a smaller row's cell
-    a*b = b*a, or (a/p)*(p*b) with p*b <= cap[a/p], which row a/p marks.
+    buffer.  Row 1 marks exactly the members up to top = n/g_1 - 1, so it is
+    counted, not written: row a starts past top // a, a row with a*c <= top
+    writes nothing, and every mark lies in (top, n).  Row a > 1, p = spf(a), also
+    starts at b = max(a, cap[a/p] // p + 1), cap[a] its c at this n: a
+    smaller b is a smaller row's cell b*a, or (a/p)*(p*b) with p*b <= cap[a/p],
+    which row a/p marks.  Non-members start marked, so a row marks a*b for
+    every b <= c (S_Q is closed under divisors), and the increment is n*n and
+    the unmarked cells in (top, n), or |S_Q(n)| for 1 and a prime.  The g
+    come from a dict of the next multiple of each member g <= sqrt(N).
     """
     if not n_bound >= 1:
         raise ValueError(f"aq_curve and count_aq require N >= 1, got {n_bound}")
@@ -186,42 +192,43 @@ def aq_curve(ps: PrimeSet, n_bound: int) -> np.ndarray:
     n_bound = int(n_bound)
     bm = _sq_bitmap(ps, n_bound)
     member = bm.tolist()
-    spf = _smallest_prime_factors(n_bound).tolist()
-    full = bool(bm[1:].all())  # every b in S_Q: write True, with no bitmap to OR in
-    cap = [0] * (math.isqrt(n_bound) + 1)  # cap[a]: row a's last b at this n
-    marks = np.zeros(n_bound + 1, dtype=bool)
+    marks = (fresh := ~bm).copy()  # the buffer, and its state before any row writes
+    rows = [a for a in range(1, math.isqrt(n_bound) + 1) if member[a]]
+    spf = _smallest_prime_factors(rows[-1]).tolist()
+    info = [(a, spf[a], bisect_left(rows, a // spf[a])) for a in rows]  # a, p, row of a/p
+    cap = [0] * len(rows)  # cap[i]: row rows[i]'s last b at this n
+    pending = {a * a: [i] for i, a in enumerate(rows) if i}  # n -> rows g | n, g*g <= n
     curve = np.zeros(n_bound + 1, dtype=np.int64)  # increments, then summed
     size = 0
     for n in range(1, n_bound + 1):
-        if not member[n]:
-            continue
-        size += 1
-        divs, rest = [1], n
-        while rest > 1:
-            p, powers = spf[rest], [1]
-            while rest % p == 0:
-                rest //= p
-                powers.append(powers[-1] * p)
-            divs = [d * q for d in divs for q in powers]
-        lo = 1
-        for g in sorted(d for d in divs if 1 < d and d * d <= n):
-            c = n // g - 1
-            for a in range(lo, g):
-                if member[a]:
-                    p = spf[a]
-                    b0 = max(a, cap[a // p] // p + 1) if a > 1 else 1
-                    cap[a] = c
-                    if b0 <= c and full:
-                        marks[a * b0 : a * c + 1 : a] = True
-                    elif b0 <= c:
-                        marks[a * b0 : a * c + 1 : a] |= bm[b0 : c + 1]
-            lo = g
-        if lo > 1:
-            curve[n] = size - np.count_nonzero(marks[:n])
-            marks[:n] = False
-        else:  # 1 or a prime: every product is new
-            curve[n] = size
+        gs = pending.pop(n, ())
+        for i in gs:
+            pending.setdefault(n + rows[i], []).append(i)
+        if member[n]:
+            size += 1
+            curve[n] = _new_products(n, sorted(gs), rows, info, cap, marks, fresh) if gs else size
     return np.cumsum(curve, out=curve)
+
+
+def _new_products(n: int, gs: list[int], rows: list[int], info: list[tuple[int, int, int]],
+                  cap: list[int], marks: np.ndarray, fresh: np.ndarray) -> int:
+    """aq_curve's increment at a composite member n, gs the rows of its divisors
+    1 < g <= sqrt(n), ascending; the buffer is left as it was found."""
+    top = n // rows[gs[0]] - 1
+    for lo, hi in zip([0] + gs, gs):
+        c = n // rows[hi] - 1
+        cap[lo:hi] = [c] * (hi - lo)
+        for a, p, q in info[bisect_right(rows, top // c, lo, hi) : hi]:
+            b0 = cap[q] // p + 1  # max() with branches, for speed
+            if b0 < a:
+                b0 = a
+            if a * b0 <= top:
+                b0 = top // a + 1
+            if b0 <= c:
+                marks[a * b0 : a * c + 1 : a] = True
+    new = n - top - int(np.count_nonzero(marks[top + 1 : n]))
+    marks[top + 1 : n] = fresh[top + 1 : n]
+    return new
 
 
 def count_aq(ps: PrimeSet, n_bound: int) -> CountResult:

@@ -60,7 +60,7 @@ def _segmented_sieve(limit: int) -> np.ndarray:
     log = math.log(limit)
     out = np.empty(int(limit / log * (1.0 + 1.2762 / log)) + 1, dtype=np.int64)
     out[0], size = 2, 1
-    buffer = np.empty(SIEVE_SEGMENT, dtype=bool)
+    buffer = np.empty(min(SIEVE_SEGMENT, limit // 2), dtype=bool)
     lo = 3  # stays odd: each step is 2 * SIEVE_SEGMENT, and the last ends the loop
     while lo <= limit:
         hi = min(lo + 2 * SIEVE_SEGMENT, limit + 1)

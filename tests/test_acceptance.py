@@ -6,6 +6,7 @@ details line in the assertion message.
 """
 
 import importlib.util
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -59,6 +60,27 @@ def test_derive_fixtures_check_writes_nothing(tmp_path, monkeypatch, capsys):
     assert script.main([]) == 0
     assert script.main(["--check"]) == 0
     assert bands.read_text(encoding="utf-8") == stale.replace("3.0", "2.0")
+
+
+def test_load_fixtures_names_the_missing_band_keys(monkeypatch):
+    bands = acceptance.load_fixtures()
+    kept = {k: v for k, v in bands.items() if k not in ("regime_ratio", "uk_envelope_K")}
+
+    class Files:  # stands in for the package's resources, serving one text
+        text = json.dumps(kept)
+
+        def joinpath(self, name):
+            assert name == "fixtures/bands.json"
+            return self
+
+        def read_text(self):
+            return self.text
+
+    monkeypatch.setattr(acceptance.resources, "files", lambda package: Files())
+    with pytest.raises(ValueError, match=r"bands\.json.*'regime_ratio', 'uk_envelope_K'"):
+        acceptance.load_fixtures()
+    Files.text = json.dumps(bands)
+    assert acceptance.load_fixtures() == bands
 
 
 def test_lw_walks_every_squarefree_a(ctx):

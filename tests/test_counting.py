@@ -276,6 +276,7 @@ def small_prime_sets(draw):
 @settings(max_examples=40)
 @given(ps=small_prime_sets())
 @example(ps=make_prime_set("all", 300))
+@example(ps=make_prime_set("congruence", 300, modulus=2, residues=[1]))  # S_Q: the odd n
 def test_aq_curve_matches_outer_product_at_every_n(ps):
     # the outer product's rows and columns enter one member n at a time
     members = enumerate_sq(ps, 300).tolist()
@@ -313,8 +314,10 @@ def test_count_aq_reports_one_method(ps_all, ps_1mod4, ps_thinned):
 def test_aq_row_bound_keeps_every_product(desc):
     # the curve's rows without its buffer: for n in S_Q, the k with n*k = a*b
     # for members a, b < n are the cells a*b, b <= n/g_i - 1 in S_Q, of the
-    # rows a in [g_{i-1}, g_i), g_i the divisors of n up to sqrt(n); and row
-    # a > 1, p = spf(a), may start at b = max(a, cap[a/p] // p + 1)
+    # rows a in [g_{i-1}, g_i), g_i the divisors of n up to sqrt(n); row
+    # a > 1, p = spf(a), may start at b = max(a, cap[a/p] // p + 1); and past
+    # row 1, every member up to top = n/g_1 - 1, row a may start at
+    # b = top // a + 1, so a row with a <= top // c keeps nothing
     ps = resolve_prime_set(desc, 200)
     member = counting._sq_bitmap(ps, 200).tolist()
     spf = _smallest_prime_factors(200).tolist()
@@ -324,7 +327,8 @@ def test_aq_row_bound_keeps_every_product(desc):
         below = np.flatnonzero(member[:n])
         prods = np.outer(below, below)
         old = set((prods[prods % n == 0] // n).tolist())
-        cap, cells, kept, lo = {}, set(), set(), 1
+        top = n // spf[n] - 1
+        cap, cells, kept, past, lo = {}, set(), set(), set(), 1
         for g in (d for d in range(2, math.isqrt(n) + 1) if n % d == 0):
             c = n // g - 1
             for a in (a for a in range(lo, g) if member[a]):
@@ -333,8 +337,32 @@ def test_aq_row_bound_keeps_every_product(desc):
                 row = [b for b in range(1, c + 1) if member[b]]
                 cells.update(a * b for b in row)
                 kept.update(a * b for b in row if b >= b0)
+                rest = {a * b for b in row if b >= max(b0, top // a + 1)}
+                assert not (a <= top // c and rest), (n, a)
+                past |= rest
+                # the buffer's pre-marked non-members: a*b is one when b is
+                assert not any(member[a * b] for b in range(1, c + 1) if not member[b])
             lo = g
         assert old == cells == kept, n
+        assert min(past, default=top + 1) > top, n
+        assert old == {k for k in range(1, top + 1) if member[k]} | past, n
+
+
+@pytest.mark.parametrize("desc,n", [("all", 2**14), ("thinned:0.4:7", 2**16)])
+def test_aq_curve_keeps_python_state_to_sqrt_n(desc, n):
+    # the curve and the member flags take 8 bytes a cell each, the buffer and
+    # its clean copy 1 each; a per-n divisor table took about 188 bytes a
+    # cell, and a Python-int prefix count of S_Q about 70.  Tracing costs
+    # about a microsecond per Python int the rows make, so the set of all
+    # primes runs at 2^14 (3.4 s traced on a 2 vCPU Xeon, 25 s at 2^16)
+    ps = resolve_prime_set(desc, n)
+    tracemalloc.start()
+    try:
+        aq_curve(ps, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * n, peak / n
 
 
 def test_count_aq_dense_sets_across_segments():
