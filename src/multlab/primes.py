@@ -6,7 +6,10 @@ all primes (delta = 1), primes in fixed residue classes mod m
 (delta = |A| / phi(m)), and a pseudo-random thinning of all primes that keeps
 each prime independently with probability delta* (decided by a keyed hash, so
 the set is a pure function of the seed).  make_prime_set sieves once to the
-limit; the primes it keeps are the members, and the primes it leaves out
+limit and splits the sieved int64 primes in place, KEEP_BLOCK at a time: the
+primes it keeps are compacted into the front of that array, which shrinks to
+them and becomes the members, and the primes it leaves out are copied into
+one uint32 array, so no prime is held twice as int64.  The excluded primes
 build the set's S_Q bitmap by a complement sieve, so every set carries its
 bitmap from construction on.  The bitmap holds one bit per integer in
 [0, limit], packed little-endian into uint8 bytes (np.packbits), window by
@@ -35,7 +38,9 @@ MAX_MODULUS = 1 << 32
 # counting module's marks hold as Python ints at once
 SIEVE_SEGMENT = 1 << 20
 MERTENS_BLOCK = 1 << 15  # members per block of mertens_sum
-KEEP_BLOCK = 1 << 16  # primes per block of the thinned sets' hash
+# primes per block of the keep rule and the split in make_prime_set, and
+# (k, p) pairs per gather of the complement sieve
+KEEP_BLOCK = 1 << 16
 AUDIT_X_MIN = 16  # the smallest x of a density audit grid
 
 _MASK64 = (1 << 64) - 1
@@ -46,7 +51,8 @@ def sieve_primes(limit: int) -> np.ndarray:
 
     Memory stays O(sqrt(limit) + SIEVE_SEGMENT) plus the output array, which
     is sized by Dusart's bound pi(x) <= x / ln x * (1 + 1.2762 / ln x), x > 1,
-    and filled segment by segment.
+    filled segment by segment, and then shrunk in place to pi(limit) entries,
+    so the int64 array it returns owns its data (its base is None).
     """
     if limit < 2:
         raise ValueError(f"sieve_primes requires limit >= 2, got {limit}")
@@ -72,13 +78,15 @@ def _segmented_sieve(limit: int) -> np.ndarray:
                 start += p
             if start < hi:
                 seg[(start - lo) // 2 :: p] = False
-        found = out[size : size + np.count_nonzero(seg)]
-        found[:] = np.flatnonzero(seg)
+        found = np.flatnonzero(seg)
         found *= 2
         found += lo
+        out[size : size + len(found)] = found
         size += len(found)
+        del found  # before the next segment allocates its own
         lo = hi
-    return out[:size]
+    out.resize(size)  # in place: no view of out is left to refuse it
+    return out
 
 
 def mark_multiples(window: np.ndarray, lo: int, steps, value) -> None:
@@ -138,12 +146,13 @@ class PrimeSet:
 
 def _complement_sieve(limit: int, excluded: np.ndarray) -> np.ndarray:
     """Read-only bitmap of S_Q over [0, limit], one bit per integer, from the
-    ascending primes <= limit outside Q: bit n % 8 of byte n // 8 is set iff
-    n is in S_Q (np.packbits' little bit order), and the bits past limit are
-    clear.  One window of bools, a multiple of 8 cells near SIEVE_SEGMENT, is
-    sieved and packed at a time: mark_multiples clears the multiples of the
-    excluded primes up to sqrt(limit), and one gather clears the window's
-    products k*p of the larger ones."""
+    ascending primes <= limit outside Q, a uint32 array (every prime below
+    MAX_X_BITMAP fits): bit n % 8 of byte n // 8 is set iff n is in S_Q
+    (np.packbits' little bit order), and the bits past limit are clear.  One
+    window of bools, a multiple of 8 cells near SIEVE_SEGMENT, is sieved and
+    packed at a time: mark_multiples clears the multiples of the excluded
+    primes up to sqrt(limit), and gathers of at most KEEP_BLOCK pairs clear
+    the window's products k*p of the larger ones, computed in int64."""
     x = int(limit)
     split = int(np.searchsorted(excluded, math.isqrt(x), side="right"))
     small, large = excluded[:split].tolist(), excluded[split:]
@@ -153,7 +162,8 @@ def _complement_sieve(limit: int, excluded: np.ndarray) -> np.ndarray:
     k_max = x // int(large[0]) if len(large) else 0
     live = np.ones(k_max + 1, dtype=bool)
     mark_multiples(live, 0, small[: bisect_right(small, k_max)], False)
-    ks = np.flatnonzero(live[1:]) + 1
+    # uint32 like the excluded primes, so searchsorted casts no array per call
+    ks = (np.flatnonzero(live[1:]) + 1).astype(np.uint32)
     width = max(8, SIEVE_SEGMENT // 8 * 8)
     window = np.empty(width, dtype=bool)
     bits = np.empty((x + 8) // 8, dtype=np.uint8)
@@ -163,19 +173,24 @@ def _complement_sieve(limit: int, excluded: np.ndarray) -> np.ndarray:
         if lo == 0:
             cells[0] = False
         mark_multiples(cells, lo, small, False)
-        # the p of row k with lo <= k*p < lo + len(cells) are large[start:stop]
-        start = np.searchsorted(large, -(-lo // ks))
-        runs = np.searchsorted(large, (lo + len(cells) - 1) // ks, side="right") - start
-        total = int(runs.sum())
-        if total:
-            at = np.arange(total, dtype=np.int64)
-            at += np.repeat(start + runs - np.cumsum(runs), runs)
-            hit = large[at]
-            del at
-            hit *= np.repeat(ks, runs)
+        # the p of row k with lo <= k*p < lo + len(cells) are large[start:stop];
+        # numbered across the rows, pair i of row k is large[i + stop - ends]
+        start = np.searchsorted(large, (lo + ks - 1) // ks)
+        stop = np.searchsorted(large, (lo + len(cells) - 1) // ks, side="right")
+        ends = np.cumsum(stop - start)
+        stop -= ends
+        total = int(ends[-1]) if len(ends) else 0
+        for first in range(0, total, KEEP_BLOCK):
+            last = min(first + KEEP_BLOCK, total)
+            rows = slice(int(np.searchsorted(ends, first, side="right")),
+                         int(np.searchsorted(ends, last - 1, side="right")) + 1)
+            runs = np.diff(np.minimum(ends[rows], last), prepend=first)
+            at = np.arange(first, last, dtype=np.int64)
+            at += np.repeat(stop[rows], runs)
+            hit = large[at].astype(np.int64)
+            hit *= np.repeat(ks[rows], runs)
             hit -= lo
             cells[hit] = False
-            del hit
         bits[lo // 8 : (lo + len(cells) + 7) // 8] = np.packbits(cells, bitorder="little")
     bits.flags.writeable = False
     return bits
@@ -208,12 +223,16 @@ def make_prime_set(
     kind="thinned": keep each prime p when hash(seed, p) / 2^64 < target_density.
 
     Every parameter is checked before the one sieve picks the members, and the
-    primes it leaves out build the bitmap.
+    primes it leaves out build the bitmap.  The keep rule runs KEEP_BLOCK
+    primes at a time; one more block pass copies the excluded primes into a
+    uint32 array and compacts the members into the front of the sieved int64
+    array, which is then shrunk in place.  A set that keeps every prime takes
+    the sieved array as it is.
     """
     if not 2 <= limit <= MAX_X_BITMAP:
         raise ValueError(f"limit = {limit} outside [2, the bitmap cap {MAX_X_BITMAP}]")
     if kind == "all":
-        delta, params, keep = 1.0, {}, lambda primes: np.ones(len(primes), dtype=bool)
+        delta, params, keep = 1.0, {}, lambda block: np.ones(len(block), dtype=bool)
     elif kind == "congruence":
         if modulus is None or residues is None:
             raise ValueError("congruence prime set needs modulus and residues")
@@ -230,27 +249,34 @@ def make_prime_set(
         phi = math.prod((p - 1) * p ** (e - 1) for p, e in factorize(m))
         delta, params = len(rset) / phi, {"modulus": m, "residues": rset}
         # "sort" compares residue by residue when there are few of them
-        keep = lambda primes: np.isin(primes % m, np.array(rset), kind="sort")
+        keep = lambda block: np.isin(block % m, np.array(rset), kind="sort")
     elif kind == "thinned":
         if target_density is None or not (0.0 < target_density <= 1.0):
             raise ValueError(f"target_density must be in (0, 1], got {target_density}")
         delta, seed = float(target_density), _integer("seed", seed)
         params = {"target_density": delta, "seed": seed}
         mixed = np.uint64(_splitmix64(seed))  # hash / 2^64 < 1: density 1.0 keeps all
-
-        def keep(primes):  # hashed KEEP_BLOCK primes at a time
-            kept = np.empty(len(primes), dtype=bool)
-            for i in range(0, len(primes), KEEP_BLOCK):
-                block = primes[i : i + KEEP_BLOCK].astype(np.uint64) ^ mixed
-                kept[i : i + KEEP_BLOCK] = _splitmix64(block) / 2.0**64 < target_density
-            return kept
+        keep = lambda block: _splitmix64(block.astype(np.uint64) ^ mixed) / 2.0**64 < target_density
     else:
         raise ValueError(f"unknown prime set kind: {kind!r}")
-    primes = sieve_primes(limit)
-    kept = keep(primes)
-    excluded = primes[~kept]
-    members = primes[kept] if len(excluded) else primes  # no copy when Q keeps all
-    del primes, kept
+    members = sieve_primes(limit)
+    kept = np.empty(len(members), dtype=bool)
+    for i in range(0, len(members), KEEP_BLOCK):  # no temporary spans all primes
+        kept[i : i + KEEP_BLOCK] = keep(members[i : i + KEEP_BLOCK])
+    size = int(np.count_nonzero(kept))
+    excluded = np.empty(len(members) - size, dtype=np.uint32)  # primes < MAX_X_BITMAP
+    if len(excluded):  # else the sieved array is the members, uncopied
+        size = 0  # the members so far, compacted into the front of the sieved array
+        for i in range(0, len(members), KEEP_BLOCK):
+            block, mask = members[i : i + KEEP_BLOCK], kept[i : i + KEEP_BLOCK]
+            taken = block[mask]
+            gone = i - size  # the excluded primes so far
+            excluded[gone : gone + len(block) - len(taken)] = block[~mask]
+            members[size : size + len(taken)] = taken
+            size += len(taken)
+        del block, mask  # views: members.resize must hold the only reference
+        members.resize(size)
+    del kept
     return PrimeSet(kind, limit, delta, members, params, _complement_sieve(limit, excluded))
 
 

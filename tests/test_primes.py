@@ -1,8 +1,11 @@
 """Sieving, prime-set construction, and density audits."""
 
 import dataclasses
+import hashlib
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,15 +54,20 @@ WINDOW_SETS = ("congruence:4:1", "congruence:3:2", "congruence:8:1+3",
 
 def test_bitmap_windows_are_invisible(monkeypatch):
     # the 3001 cells of [0, 3000] end in a short window at each size, and
-    # sqrt(3000) ~ 54 leaves excluded primes on both sides of the split
+    # sqrt(3000) ~ 54 leaves excluded primes on both sides of the split;
+    # KEEP_BLOCK cuts the keep rule, the split and the gathers, whose cuts
+    # fall inside rows k of the products k*p at these sizes
     limit = 3000
     sets = {desc: resolve_prime_set(desc, limit) for desc in WINDOW_SETS}
     expected = {desc: [False] + [in_sq(ps, n) for n in range(1, limit + 1)]
                 for desc, ps in sets.items()}
-    for seg in (16, 100, 257):
+    for seg, block in ((16, 1), (100, 7), (257, 1000), (1 << 20, 7)):
         monkeypatch.setattr(primes, "SIEVE_SEGMENT", seg)
+        monkeypatch.setattr(primes, "KEEP_BLOCK", block)
         for desc, ps in sets.items():
-            bm = resolve_prime_set(desc, limit).sq_bitmap
+            got = resolve_prime_set(desc, limit)
+            assert np.array_equal(got.members, ps.members), (seg, block, desc)
+            bm = got.sq_bitmap
             assert np.array_equal(bm, ps.sq_bitmap), (seg, desc)
             bits = np.unpackbits(bm, bitorder="little").astype(bool)
             assert bits[: limit + 1].tolist() == expected[desc], (seg, desc)
@@ -321,6 +329,117 @@ def test_make_prime_set_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3 * limit // 2, peak
+
+
+@pytest.mark.parametrize("desc, limit", (("thinned:0.4:7", 1 << 22),
+                                         ("all", 1 << 24),
+                                         ("congruence:4:1", 1 << 24),
+                                         ("thinned:0.72:7", 1 << 24)))
+def test_prime_set_split_peak_memory(desc, limit):
+    # traced peak in bytes per integer: a gather of a whole window's (k, p)
+    # pairs reads 1.54 for thinned:0.4:7 at 2^22 (1.24 in KEEP_BLOCK pairs),
+    # and holding the sieved primes, the members and the excluded primes at
+    # once reads 1.10-1.16 for the restricted sets at 2^24 (0.74-0.75 split
+    # in place); `all` reads 0.71
+    bound = 1.4 if limit == 1 << 22 else 0.85
+    tracemalloc.start()
+    try:
+        resolve_prime_set(desc, limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * limit, (peak, peak / limit)
+
+
+SPLIT_LIMITS = (2, 3, 10, 97, 1000, 65537, 1_000_003)
+# sha256 of members.tobytes() + sq_bitmap.tobytes() at each of SPLIT_LIMITS,
+# as one sieve split into members and a complement sieve built them
+SPLIT_SHA256 = {
+    "all": (
+        "89c58c89d04bc3ef8ef6e7e06b1e2f3a00ff30ef24a0838be228828979d4f428",
+        "94e90fb559f26962da81414c5deb08b958f82fc9190cd9951797933f80b9b510",
+        "b1c1f1e7e5e02eb3715efa2ea2c06efed5f8e8d64885891ea979b9ca2c300fa5",
+        "eaa6bfe5fafbab6782c5c17260de385fa4d36e732b2a78239147d463fbcdf803",
+        "d366907b7d6c633959923d3923ab52a32ab7757402f00c7b07f0c792b4fb6a41",
+        "a5dcea7318dfaac3e74198f8b554756b2fd3c4e2443ce8aa3aeff2d63f09eb41",
+        "92203faba5295b85d88d43006c16c31fa6ab4e07155dc4fd91ec3c9613a3c422",
+    ),
+    "congruence:4:1": (
+        "dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986",
+        "dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986",
+        "153d2df3dfe852892c5e21dc6870caefd365e120b5df7503cf9e7fa3f6bc4bfe",
+        "b1ba59c5c82a134dae8aa78ee2762dcc5f89b5ae3fc448095dbe3c4c4b6e93b1",
+        "63c1c80249945022f9c39212c134d5636a0ae253ffa4baa23d1bdeceee35e83c",
+        "da8dea0071fd9ca43c87b66ff5fd6b8f006c2dbda7b2f90bfba5494d04bb4b7d",
+        "55b5faf1e8960f35c78227cff7c5b3de820d93bca7a4c0113e910254e87d418c",
+    ),
+    "congruence:3:2": (
+        "89c58c89d04bc3ef8ef6e7e06b1e2f3a00ff30ef24a0838be228828979d4f428",
+        "89c58c89d04bc3ef8ef6e7e06b1e2f3a00ff30ef24a0838be228828979d4f428",
+        "aaf396e19fe7526b5f998f6acc6384ff8d09a71604c3c710afcda1d8f42487e0",
+        "8fef83ec2696c839c516a59478d74192525caa0207db04c808adab45fc4d1ab8",
+        "d4dae823a7e4ca267d0797154cf7e0203321ed96df550373fdcbc471ac5589f2",
+        "3641f3c9f416546567b60fff7b9e190624ef264e1a8ed756604b2ac58cc3bfbc",
+        "43a4c8f4a36bf0888a083f38a036f25ea629be28665e1f37cc57b165ba18d67b",
+    ),
+    "congruence:8:1+3": (
+        "dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986",
+        "e6383e0ab8bca0a096ad4c87749e127853d564dca71393a995243fe225649982",
+        "39fb7aa8324fd8ac91fcd975b8d321f6def18034932f9140de98a273c3106a27",
+        "cd3fb4c155404f6fdb659f4bc26b6e2e744e73781dd09c1b1ddd950e2ccbd7d5",
+        "076ef2d3a396348b09483694b013000e180c364f376eef3e9ef6e4d8211fbf4a",
+        "ea1ad65eb470335f8a3600c0cda2de3ad1825da1271eb4657793cb21ec5f47ed",
+        "383ad373a57107625c89b962ffb06d1cf0f1f2028409a501d65a577c65ce54ab",
+    ),
+    "thinned:0.4:20260825": (
+        "dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986",
+        "dbc1b4c900ffe48d575b5da5c638040125f65db0fe3e24494b76ea986457d986",
+        "153d2df3dfe852892c5e21dc6870caefd365e120b5df7503cf9e7fa3f6bc4bfe",
+        "54a234e2638f3f7f84535b85af996bf6786b7dc146b614edfc8ff5befa5f4c47",
+        "35c00630fef4922f01c2ced573cbb7b5f96d2931913ded5e725d408e1d631ec2",
+        "7ca3f8ec285dbacc1fc808a0c479824a162f3c46323580405778f5f051359528",
+        "2f763e0d475f2f9efffba0539cae9361db0b83bce7e418aba77808f2c4ec5f40",
+    ),
+    "thinned:0.72:7": (
+        "89c58c89d04bc3ef8ef6e7e06b1e2f3a00ff30ef24a0838be228828979d4f428",
+        "94e90fb559f26962da81414c5deb08b958f82fc9190cd9951797933f80b9b510",
+        "b1c1f1e7e5e02eb3715efa2ea2c06efed5f8e8d64885891ea979b9ca2c300fa5",
+        "616e7c7cfe49fa37792059e6a7a3b5d719e6403b3a335d5d7eca93c734d919ea",
+        "eb8aba2bdbb2cb8188a9394dba9b800a3058698cead898d28254edc4320a80fb",
+        "feaddeb45458dfb8a48a6db1e1292d1a0a864447b6e5fe8a260f2e5a33d63d0e",
+        "b639b56399eed9a77103bf53e3432a9a48502ccc8a0f829543319f79e5ba74c0",
+    ),
+}
+
+
+@pytest.mark.parametrize("desc", SPLIT_SHA256)
+def test_prime_set_split_matches_golden_digests(desc):
+    for limit, digest in zip(SPLIT_LIMITS, SPLIT_SHA256[desc]):
+        ps = resolve_prime_set(desc, limit)
+        assert ps.members.dtype == np.int64, limit
+        assert ps.members.base is None, limit  # owns its data: no view of a larger array
+        got = hashlib.sha256(ps.members.tobytes() + ps.sq_bitmap.tobytes()).hexdigest()
+        assert got == digest, (limit, got)
+
+
+def test_sieve_returns_exactly_pi_of_its_limit():
+    for limit, count in ((2, 1), (3, 2), (10, 4), (97, 25), (1000, 168), (65537, 6543),
+                         (1_000_003, 78499)):
+        got = sieve_primes(limit)
+        assert len(got) == count and got.base is None, limit
+
+
+def test_prime_set_memory_script_prints_each_set(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "prime_set_memory.py"
+    spec = importlib.util.spec_from_file_location("prime_set_memory", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    descs = ["all", "congruence:4:1", "thinned:0.72:7"]
+    assert script.main([*descs, "--limit", "1e5"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [[desc, "100000"] for desc in descs]
+    for row in rows:
+        assert float(row[2]) >= 0 and float(row[3]) > 0, row
 
 
 def test_prime_set_is_frozen():
