@@ -3,7 +3,6 @@ prime factors: prime-set densities, divisor-interval statistics, counting
 functions, the Poisson phase transition, and order-statistic barriers."""
 
 from .primes import (
-    DensityAudit,
     PrimeSet,
     density_audit,
     make_prime_set,

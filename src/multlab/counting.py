@@ -18,7 +18,7 @@ lie in a few rectangles fixed by the divisors of n up to sqrt(n), which a
 sieve over the members up to sqrt(N) yields; all but the first are marked,
 one strided write per row, in a buffer of N + 1 bools.  Only the
 exhaustive H_Q method builds S_Q another way, as products of Q-primes, and
-it marks the multiples of every integer in (y, z], a block at a time.
+it marks the multiples of every integer in (y, z] by the hyperbola split.
 The kernels return counts and the method they ran; timing a run is the
 experiments' reporter's job.
 """
@@ -35,8 +35,8 @@ from .divisors import _smallest_prime_factors, enumerate_sq
 from . import primes
 from .primes import PrimeSet
 
-# The cap is time and memory: (0, x] at x = 2^21 marks 31M multiples, about
-# 0.85 s and 118 MB peak RSS in a fresh process on a 2 vCPU Xeon.
+# The cap is time and memory: (0, x] at x = 2^21 is 2,895 slices over 31M cells,
+# 0.08 s; a fresh process takes 0.3 s and 72 MB peak RSS on a 2 vCPU Xeon.
 MAX_X_EXHAUSTIVE = 1 << 21
 HQ_METHODS = ("divisor-multiples", "exhaustive")
 
@@ -103,9 +103,12 @@ def count_hq(
     in (y, z], keep the marked cells that lie in S_Q and count them, one
     window of [0, x] at a time (_count_multiples).
     method "exhaustive": mark the multiples of every integer in (y, z],
-    member or not, about x + 1 multiples at a time, and count the marked
-    members of S_Q, built as products of Q-primes.  The two share no
-    counting logic.  A z >= x reads as (y, x], so z may be +inf.
+    member or not, and count the marked members of S_Q, built as products
+    of Q-primes.  By Dirichlet's hyperbola method, one slice marks every
+    multiple of each d <= t = floor(min(z, max(y, sqrt(x)))), and one per
+    cofactor j <= x/(t + 1) the j*d with d in (t, z]: at most 2 sqrt(x)
+    slices.  The two share no counting logic.  A z >= x reads as (y, x], so
+    z may be +inf.
     """
     if not 1 <= x < math.inf:
         raise ValueError(f"count_hq requires a finite x >= 1, got {x}")
@@ -130,19 +133,14 @@ def count_hq(
         ds += d_lo
         return CountResult(_count_multiples(ps, xi, ds), method)
 
-    # every d in range, member or not, so no membership enters the marks
-    ds = np.arange(d_lo, d_hi + 1, dtype=np.int64)
-    runs = xi // ds  # multiples of d up to x
-    ends = np.cumsum(runs)
-    # blocks of d with about x + 1 multiples each, made one array at a time
-    cuts = np.searchsorted(ends, np.arange(xi + 1, int(ends[-1]), xi + 1))
-    del ends
+    # every d in range, member or not, so no membership enters the marks; an
+    # interval below sqrt(x) runs no cofactor slices, which would all be empty
+    t = min(d_hi, max(d_lo - 1, math.isqrt(xi)))
     hit = np.zeros(xi + 1, dtype=bool)
-    for d, run in zip(np.split(ds, cuts), np.split(runs, cuts)):
-        multiples = np.arange(1, int(run.sum()) + 1, dtype=np.int64)
-        multiples -= np.repeat(np.cumsum(run) - run, run)  # j, restarting at 1 per d
-        multiples *= np.repeat(d, run)
-        hit[multiples] = True
+    for d in range(d_lo, t + 1):
+        hit[d::d] = True
+    for j in range(1, xi // (t + 1) + 1 if t < d_hi else 1):
+        hit[j * (t + 1) : j * d_hi + 1 : j] = True  # the slice stops at x
     return CountResult(int(np.count_nonzero(hit[enumerate_sq(ps, xi)])), method)
 
 

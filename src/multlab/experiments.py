@@ -75,12 +75,7 @@ def resolve_prime_set(desc: str, limit: int, seed: int = 0) -> PrimeSet:
 def audit_summary(ps: PrimeSet) -> dict:
     """Descriptor plus the density audit every report must carry."""
     grid = np.geomspace(AUDIT_X_MIN, ps.limit, AUDIT_GRID_POINTS)
-    audit = density_audit(ps, grid)
-    out = ps.descriptor()
-    out["kappa_hat"] = audit.kappa_hat
-    out["kappa_worst_x"] = audit.worst_x
-    out["mertens_constant_hat"] = audit.mertens_constant_hat
-    return out
+    return {**ps.descriptor(), **density_audit(ps, grid)}
 
 
 def _fmt_cell(v) -> str:

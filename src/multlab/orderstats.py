@@ -144,11 +144,6 @@ def _box_hits(lower: np.ndarray, upper: np.ndarray | None, n_samples: int,
     return sum(run_blocks(n_samples, seed, stream, block, threads))
 
 
-def _as_fraction(x) -> Fraction:
-    # Fraction(float) is exact for binary floats, so exactness is preserved
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _steck_determinant(lower: list[Fraction], k: int) -> Fraction:
     """P(xi_j >= lower_j for all j) by Steck's determinant (upper bounds = 1).
 
@@ -186,7 +181,7 @@ def qk_exact(u, v, k: int):
     if not (k - v < u <= 1):
         raise ValueError(f"u = {u} outside validity range ({k - v}, 1]")
     exact = _is_exact(u) and _is_exact(v)
-    uf, vf = _as_fraction(u), _as_fraction(v)
+    uf, vf = Fraction(u), Fraction(v)  # exact for a binary float
     if uf == 1:
         w = uf + vf - k
         res = (w / vf) * (1 + 1 / vf) ** (k - 1)
@@ -210,7 +205,7 @@ def vol_lower_barrier_exact(lower_bounds):
     if k > MAX_EXACT_K:
         raise ValueError(f"recursive integration capped at k <= {MAX_EXACT_K}, got {k}")
     exact = all(map(_is_exact, bounds))
-    a = [_as_fraction(x) for x in bounds]
+    a = [Fraction(x) for x in bounds]
     for i, x in enumerate(a):
         if not 0 <= x <= 1:
             raise ValueError(f"bound {bounds[i]} outside [0, 1]")

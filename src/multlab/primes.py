@@ -222,8 +222,9 @@ def make_prime_set(
         must be coprime to the modulus; delta = #residues / phi(modulus).
     kind="thinned": keep each prime p when hash(seed, p) / 2^64 < target_density.
 
-    Every parameter is checked before the one sieve picks the members, and the
-    primes it leaves out build the bitmap.  The keep rule runs KEEP_BLOCK
+    Every parameter is checked before the one sieve picks the members (one
+    the kind does not take is an error), and the primes it leaves out build
+    the bitmap.  The keep rule runs KEEP_BLOCK
     primes at a time; one more block pass copies the excluded primes into a
     uint32 array and compacts the members into the front of the sieved int64
     array, which is then shrunk in place.  A set that keeps every prime takes
@@ -231,6 +232,10 @@ def make_prime_set(
     """
     if not 2 <= limit <= MAX_X_BITMAP:
         raise ValueError(f"limit = {limit} outside [2, the bitmap cap {MAX_X_BITMAP}]")
+    takes = {"congruence": ("modulus", "residues"), "thinned": ("target_density",)}.get(kind, ())
+    given = {"modulus": modulus, "residues": residues, "target_density": target_density}
+    if extra := [k for k, v in given.items() if v is not None and k not in takes]:
+        raise ValueError(f"a {kind!r} prime set takes no {', '.join(extra)}")
     if kind == "all":
         delta, params, keep = 1.0, {}, lambda block: np.ones(len(block), dtype=bool)
     elif kind == "congruence":
@@ -316,22 +321,14 @@ def mertens_sum(ps: PrimeSet, x: float) -> float:
     return num / (1 << (53 - low))
 
 
-@dataclass
-class DensityAudit:
-    """Empirical check of the density condition over a grid of x values.
+def density_audit(ps: PrimeSet, grid) -> dict:
+    """Audit how well ps tracks delta * x / log x over the given grid.
 
     kappa_hat is max over the grid of |pi_Q(x) - delta*x/log x| * (log x)^2 / x,
-    the smallest constant making the two-term density bound hold on the grid.
+    the smallest constant making the two-term density bound hold on the grid,
+    and kappa_worst_x the first grid point where it is reached.
     mertens_constant_hat estimates C(Q) in sum_{p<=x} 1/p = delta*loglog x + C(Q) + O(1/log x).
     """
-
-    kappa_hat: float
-    worst_x: float
-    mertens_constant_hat: float
-
-
-def density_audit(ps: PrimeSet, grid) -> DensityAudit:
-    """Audit how well ps tracks delta * x / log x over the given grid."""
     grid = sorted(float(x) for x in grid)
     if not grid:
         raise ValueError("density_audit needs a nonempty grid")
@@ -348,4 +345,4 @@ def density_audit(ps: PrimeSet, grid) -> DensityAudit:
 
     x_top = grid[-1]
     c_hat = mertens_sum(ps, x_top) - ps.delta * math.log(math.log(x_top))
-    return DensityAudit(kappa_hat, worst_x, c_hat)
+    return {"kappa_hat": kappa_hat, "kappa_worst_x": worst_x, "mertens_constant_hat": c_hat}

@@ -33,14 +33,7 @@ def run_blocks(n_samples: int, seed: int, stream: int, block_fn, threads: int = 
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    spans = []
-    start = 0
-    b = 0
-    while start < n_samples:
-        length = min(BLOCK, n_samples - start)
-        spans.append((b, length))
-        start += length
-        b += 1
+    spans = [(b, min(BLOCK, n_samples - b * BLOCK)) for b in range(-(-n_samples // BLOCK))]
     if threads <= 1:
         return [block_fn(block_generator(seed, stream, b), length) for b, length in spans]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -455,34 +455,65 @@ def test_squarefree_walk_matches_l_measure_on_thinned_set(ps_thinned):
 
 
 def test_count_hq_exhaustive_matches_divisors_of_each_n(ps_all, ps_1mod4, ps_thinned):
-    x = 3000
-    # (0, x] has about x log x multiples: blocks of x + 1 pairs, several of them
-    assert sum(x // d for d in range(1, x + 1)) > 5 * (x + 1)
-    for ps in (ps_all, ps_1mod4, ps_thinned):
-        rows = [divisors(n) for n in range(1, x + 1) if in_sq(ps, n)]
-        # d = 1 in range, z at and past x, narrow and broad (y, z]
-        for y, z in ((0, 1), (0.5, math.inf), (0.9, 40), (10, 400), (700, x),
-                     (30, 5 * x), (2, 3), (5.5, 7)):
-            expected = sum(any(y < d <= z for d in row) for row in rows)
-            assert count_hq(ps, x, y, z, method="exhaustive").value == expected, (
-                ps.kind, y, z)
+    for x in (3000, 3025):  # 3025 = 55^2, a square at the sqrt(x) split
+        r = math.isqrt(x)
+        for ps in (ps_all, ps_1mod4, ps_thinned):
+            rows = [divisors(n) for n in range(1, x + 1) if in_sq(ps, n)]
+            # d = 1 in range, z at and past x, narrow and broad (y, z], and
+            # (y, z] ending at sqrt(x), starting past it, straddling it by one
+            # and wholly above it
+            for y, z in ((0, 1), (0.5, math.inf), (0.9, 40), (10, 400), (700, x),
+                         (30, 5 * x), (2, 3), (5.5, 7), (0, r), (r, math.inf),
+                         (r - 1, r + 1), (r + 3, 4 * r)):
+                expected = sum(any(y < d <= z for d in row) for row in rows)
+                assert count_hq(ps, x, y, z, method="exhaustive").value == expected, (
+                    ps.kind, x, y, z)
     # the multiples of 3, 6 and 7, non-members of S_Q for 1 mod 4, hold no member
     for y, z in ((2, 3), (5.5, 7)):
-        assert count_hq(ps_1mod4, x, y, z, method="exhaustive").value == 0
+        assert count_hq(ps_1mod4, 3000, y, z, method="exhaustive").value == 0
+
+
+@pytest.mark.parametrize("x", (1, 2, 3, 48, 49, 50, 3025, 10**4 + 7))
+def test_count_hq_exhaustive_writes_at_most_two_sqrt_x_slices(ps_all, monkeypatch, x):
+    writes = []
+    zeros = np.zeros
+
+    class Marks(np.ndarray):  # a bool buffer that records the writes into it
+        def __setitem__(self, key, value):
+            writes.append(key)
+            super().__setitem__(key, value)
+
+    def counted(shape, dtype=float):
+        out = zeros(shape, dtype)
+        return out.view(Marks) if out.dtype == bool else out
+
+    r = math.isqrt(x)
+    # (0, 3] lies below sqrt(x): its cofactor slices would all be empty
+    for y, z in ((0, math.inf), (0, 3), (0, r), (r, math.inf), (r - 1, r + 1), (x / 3, x / 2)):
+        expected = count_hq(ps_all, x, y, z, method="exhaustive").value
+        writes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(counting.np, "zeros", counted)
+            assert count_hq(ps_all, x, y, z, method="exhaustive").value == expected
+        assert len(writes) <= 2 * r, (x, y, z)
+        assert writes or not expected, (x, y, z)
 
 
 def test_count_hq_exhaustive_keeps_one_array_of_marks():
-    # a divisor table over [0, x], as this method once built, took 172 bytes a cell
+    # a divisor table over [0, x], as this method once built, took 172 bytes a
+    # cell, and blocks of x + 1 int64 multiples 42; one bool array of marks and
+    # the members of S_Q take about 21
     x = 2**18
     ps = make_prime_set("all", x)
-    tracemalloc.start()
-    try:
-        value = count_hq(ps, x, 0.5, math.inf, method="exhaustive").value
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert value == x
-    assert peak < 64 * x, peak
+    for y, z in ((0.5, math.inf), (1000, 2000)):
+        tracemalloc.start()
+        try:
+            value = count_hq(ps, x, y, z, method="exhaustive").value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == count_hq(ps, x, y, z).value
+        assert peak < 24 * x, (y, z, peak)
 
 
 def test_src_sets_no_module_global():

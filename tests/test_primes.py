@@ -127,6 +127,12 @@ def test_make_prime_set_rejects_non_finite_integers(kind, kwargs):
     ("thinned", {"target_density": 1.5}),
     ("thinned", {"target_density": math.nan}),
     ("thinned", {"target_density": 0.5, "seed": 7.2}),
+    # a parameter the kind does not take
+    ("all", {"target_density": 0.5}),
+    ("all", {"modulus": 4, "residues": [1]}),
+    ("congruence", {"modulus": 4, "residues": [1], "target_density": 0.5}),
+    ("thinned", {"target_density": 0.5, "modulus": 4, "residues": (1,)}),
+    ("thinned", {"target_density": 0.5, "residues": (1,)}),
 ])
 def test_make_prime_set_checks_every_parameter_before_it_sieves(monkeypatch, kind, kwargs):
     def forbidden(limit):
@@ -210,8 +216,8 @@ def test_density_audit_two_term_bound(ps_all, ps_1mod4):
     grid = np.geomspace(16, 100_000, 20)
     for ps in (ps_all, ps_1mod4):
         audit = density_audit(ps, grid)
-        assert audit.kappa_hat <= 10.0
-        assert 16 <= audit.worst_x <= ps.limit
+        assert audit["kappa_hat"] <= 10.0
+        assert 16 <= audit["kappa_worst_x"] <= ps.limit
 
 
 def test_density_audit_grid_validation(ps_all):
@@ -228,13 +234,13 @@ def test_density_audit_csv_rows_consistent(ps_all):
     audit = density_audit(ps_all, grid)
     scaled = [abs(pi_q(ps_all, x) - ps_all.delta * x / math.log(x))
               * math.log(x) ** 2 / x for x in grid]
-    assert audit.kappa_hat == pytest.approx(max(scaled), rel=1e-12)
-    assert audit.worst_x == grid[scaled.index(max(scaled))]
+    assert audit["kappa_hat"] == pytest.approx(max(scaled), rel=1e-12)
+    assert audit["kappa_worst_x"] == grid[scaled.index(max(scaled))]
     # each report's prime-set row carries the audit on the fixed grid
     row = audit_summary(ps_all)
     full = density_audit(ps_all, np.geomspace(16.0, ps_all.limit, AUDIT_GRID_POINTS))
-    assert (row["kappa_hat"], row["kappa_worst_x"], row["mertens_constant_hat"]) == (
-        full.kappa_hat, full.worst_x, full.mertens_constant_hat)
+    assert row == {**ps_all.descriptor(), **full}
+    assert list(row)[-3:] == ["kappa_hat", "kappa_worst_x", "mertens_constant_hat"]
     assert row["limit"] == ps_all.limit
 
 
