@@ -5,12 +5,13 @@ uniforms.  Exact values come from the Daniels product formula at u = 1 and,
 for u < 1, from Steck's determinant, expanded by its Hessenberg recurrence;
 constrained simplex volumes come from a recursive polynomial integration.
 Monte Carlo estimators cover the barrier events, the Y_k region, and the
-exponential-sum integral U_k.  They draw and sort each block one cache-sized
-(k, w) tile at a time, by one comparator network (Batcher's odd-even merge
-sort) over whole rows, so order statistic j is a contiguous row; each
-estimator reduces a tile before drawing the next.  Every hit event is a box
-lower <= xi <= upper of order-statistic bounds, counted by one kernel,
-_box_hits, which tests all the boxes of one k against one sorted stream.
+exponential-sum integral U_k.  They draw and sort each block one (k, w) tile
+of at most _CELLS doubles at a time, by one comparator network (Batcher's
+odd-even merge sort) over whole rows, so order statistic j is a contiguous
+row; each estimator reduces a tile, row by row, before drawing the next.
+Every hit event is a box lower <= xi <= upper of order-statistic bounds,
+counted by one kernel, _box_hits, which tests all the boxes of one k against
+one sorted stream.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .rng import run_blocks
 YK_MU = 1.0 / 7.0  # exponent in the strong-barrier term min(i, k-i)^mu
 YK_SAFETY = 0.5  # the 1/2 of the closed-form Y_k volume bound
 MAX_EXACT_K = 10  # recursive volume integration cap
-_TILE = 8192  # samples per network pass: the k rows of one tile stay in cache
+_TILE = 8192  # samples per network pass, and doubles per draw: each row stays in cache
+_CELLS = 1 << 16  # doubles per tile (512 KiB), so a large k takes narrower tiles
 
 
 @dataclass
@@ -93,23 +95,30 @@ def _network(k: int) -> list[tuple[int, int]]:
 def _sorted_tiles(rng: np.random.Generator, n: int, k: int):
     """Yield (start, tile) for n draws of the k uniform order statistics.
 
-    The draws are rng.random((n, k)), taken _TILE rows at a time: Philox
-    fills consecutive calls from one stream, so the rows are the same bit for
-    bit.  Each tile is copied into a (k, w) buffer whose rows _network(k)
-    sorts, so tile[:, t] equals np.sort(draws[start + t]) and order
-    statistic j is the contiguous row tile[j].  Both buffers are reused:
-    a tile is valid only until the next one is drawn.
+    The draws are rng.random((n, k)), taken at most _TILE doubles at a time
+    into a small chunk: Philox fills consecutive calls from one stream, so the
+    rows are the same bit for bit.  Each chunk is transposed into the columns
+    of a (k, w) tile of w <= min(_TILE, _CELLS // k) samples (at least one),
+    whose rows _network(k) sorts, so tile[:, t] equals np.sort(draws[start + t])
+    and order statistic j is the contiguous row tile[j].  The tile buffer is
+    reused: a tile is valid only until the next one is drawn.
     """
-    width = min(n, _TILE)
-    draws = np.empty((width, k))
-    buf = np.empty((k, width))
+    width = max(1, min(n, _TILE, _CELLS // k))
+    rows = max(1, min(width, _TILE // k))
+    chunk = np.empty((rows, k))
+    # a spare column, so no row of a tile runs on into the next: over abutting
+    # rows of at most np.getbufsize() // 2 doubles, NumPy buffers several rows
+    # of a test against a (k, 1) bound at once, three times slower
+    buf = np.empty((k, width + 1))
     lo_row = np.empty(width)
     net = _network(k)
-    for start in range(0, n, _TILE):
-        w = min(_TILE, n - start)
-        rng.random(out=draws[:w])
+    for start in range(0, n, width):
+        w = min(width, n - start)
         tile = buf[:, :w]
-        tile[...] = draws[:w].T
+        for c in range(0, w, rows):
+            r = min(rows, w - c)
+            rng.random(out=chunk[:r])
+            tile[:, c:c + r] = chunk[:r].T
         lo = lo_row[:w]
         for i, j in net:
             a, b = tile[i], tile[j]
@@ -328,24 +337,26 @@ def _uk_integrand(tile: np.ndarray, k: int, v: float) -> np.ndarray:
     each column of a sorted (k, w) tile.
 
     One pass over the rows of the tile keeps the partial sum S_j and the
-    running minimum; the j = 0 term is exactly 1.
+    running minimum; each v xi_j is formed in one reused row buffer, never
+    for the whole tile.  The j = 0 term is exactly 1.
     """
-    cols = v * tile
+    row = np.empty(tile.shape[1])
     if v <= _LOG_DOMAIN_V:
-        pw = np.exp2(cols)
         weights = np.exp2(-np.arange(k + 1, dtype=np.float64))
         partial = np.zeros(tile.shape[1])
         best = np.ones(tile.shape[1])
         for j in range(k):
-            partial += pw[j]
+            np.multiply(tile[j], v, out=row)
+            partial += np.exp2(row, out=row)
             np.minimum(best, (partial + 1.0) * weights[j + 1], out=best)
         return best
     # log2-domain: S_j tracked as log2 of the partial sum
-    log_partial = cols[0]
+    log_partial = np.multiply(tile[0], v)
     best = np.zeros(tile.shape[1])  # j = 0 gives exactly 1
     for j in range(k):
         if j:
-            log_partial = np.logaddexp2(log_partial, cols[j])
+            np.multiply(tile[j], v, out=row)
+            np.logaddexp2(log_partial, row, out=log_partial)
         np.minimum(best, np.logaddexp2(log_partial, 0.0) - (j + 1.0), out=best)
     return np.exp2(best)
 
@@ -361,7 +372,7 @@ def uk_mc(k: int, v: float, n_samples: int, seed: int, threads: int = 1) -> McEs
         raise ValueError(f"v must be finite, got {v}")
 
     def block(rng, length):
-        # one sum per block, so the float sums do not depend on _TILE
+        # one sum per block, so the float sums do not depend on the tile width
         vals = np.empty(length)
         for start, tile in _sorted_tiles(rng, length, k):
             vals[start:start + tile.shape[1]] = _uk_integrand(tile, k, v)

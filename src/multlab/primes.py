@@ -85,7 +85,10 @@ def _segmented_sieve(limit: int) -> np.ndarray:
         size += len(found)
         del found  # before the next segment allocates its own
         lo = hi
-    out.resize(size)  # in place: no view of out is left to refuse it
+    # in place, which may move the buffer, so no view of out may be left.
+    # refcheck=False: a profile hook's bound method for this call holds out
+    # too, and the reference check would refuse the resize for it.
+    out.resize(size, refcheck=False)
     return out
 
 
@@ -213,14 +216,15 @@ def make_prime_set(
     modulus: int | None = None,
     residues: tuple[int, ...] | list[int] | None = None,
     target_density: float | None = None,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> PrimeSet:
     """Materialize a prime set up to `limit`, with its S_Q bitmap.
 
     kind="all": every prime, delta = 1.
     kind="congruence": primes p with p mod modulus in residues; every residue
         must be coprime to the modulus; delta = #residues / phi(modulus).
-    kind="thinned": keep each prime p when hash(seed, p) / 2^64 < target_density.
+    kind="thinned": keep each prime p when hash(seed, p) / 2^64 < target_density;
+        seed None is 0.
 
     Every parameter is checked before the one sieve picks the members (one
     the kind does not take is an error), and the primes it leaves out build
@@ -232,8 +236,10 @@ def make_prime_set(
     """
     if not 2 <= limit <= MAX_X_BITMAP:
         raise ValueError(f"limit = {limit} outside [2, the bitmap cap {MAX_X_BITMAP}]")
-    takes = {"congruence": ("modulus", "residues"), "thinned": ("target_density",)}.get(kind, ())
-    given = {"modulus": modulus, "residues": residues, "target_density": target_density}
+    takes = {"congruence": ("modulus", "residues"),
+             "thinned": ("target_density", "seed")}.get(kind, ())
+    given = {"modulus": modulus, "residues": residues, "target_density": target_density,
+             "seed": seed}
     if extra := [k for k, v in given.items() if v is not None and k not in takes]:
         raise ValueError(f"a {kind!r} prime set takes no {', '.join(extra)}")
     if kind == "all":
@@ -258,7 +264,7 @@ def make_prime_set(
     elif kind == "thinned":
         if target_density is None or not (0.0 < target_density <= 1.0):
             raise ValueError(f"target_density must be in (0, 1], got {target_density}")
-        delta, seed = float(target_density), _integer("seed", seed)
+        delta, seed = float(target_density), _integer("seed", 0 if seed is None else seed)
         params = {"target_density": delta, "seed": seed}
         mixed = np.uint64(_splitmix64(seed))  # hash / 2^64 < 1: density 1.0 keeps all
         keep = lambda block: _splitmix64(block.astype(np.uint64) ^ mixed) / 2.0**64 < target_density
@@ -279,8 +285,10 @@ def make_prime_set(
             excluded[gone : gone + len(block) - len(taken)] = block[~mask]
             members[size : size + len(taken)] = taken
             size += len(taken)
-        del block, mask  # views: members.resize must hold the only reference
-        members.resize(size)
+        # the resize may move the buffer, so these last views must go first;
+        # refcheck=False for the same reason as in _segmented_sieve
+        del block, mask
+        members.resize(size, refcheck=False)
     del kept
     return PrimeSet(kind, limit, delta, members, params, _complement_sieve(limit, excluded))
 

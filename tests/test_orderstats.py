@@ -1,6 +1,7 @@
 """Barrier probabilities for uniform order statistics: Daniels/Steck exact
 values, the recursive simplex volume, and the Monte Carlo estimators."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -21,6 +22,7 @@ from multlab import (
     vol_yk_mc,
 )
 from multlab.orderstats import (
+    _CELLS,
     _TILE,
     _box_hits,
     _network,
@@ -129,12 +131,13 @@ def test_vol_lower_barrier_validation():
 
 def _tiles_as_rows(tiles, n, k):
     """The (n, k) rows of the tiles of one stream, checking their layout."""
+    width = max(1, min(_TILE, _CELLS // k))  # at most _CELLS doubles a tile
     rows = []
     for start, tile in tiles:
-        assert start == len(rows) * _TILE
-        assert tile.shape == (k, min(_TILE, n - start))
+        assert start == len(rows) * width
+        assert tile.shape == (k, min(width, n - start))
         rows.append(tile.T.copy())  # the next tile reuses the buffer
-    assert len(rows) == -(-n // _TILE)
+    assert len(rows) == -(-n // width)
     return np.concatenate(rows) if rows else np.empty((0, k))
 
 
@@ -164,14 +167,32 @@ def test_ordered_batch_equals_row_sort(n):
         assert np.array_equal(s, expected)
 
 
+@pytest.mark.parametrize("k, n", [(100, 2_000), (1_000, 200), (_TILE + 1, 3)])
+def test_wide_k_tiles_equal_row_sort(k, n):
+    # tiles narrower than _TILE, each filled by several draws of at most
+    # _TILE doubles; past k = _TILE every draw is one row
+    s = _tiles_as_rows(_sorted_tiles(block_generator(SEED, 8, k), n, k), n, k)
+    assert np.array_equal(s, np.sort(block_generator(SEED, 8, k).random((n, k)), axis=1))
+
+
+def test_tile_rows_do_not_abut():
+    # the box tests compare a tile with (k, 1) bounds; over abutting rows
+    # NumPy buffers several at once and runs three times slower
+    for k in (2, 8, 20):
+        for _, tile in _sorted_tiles(block_generator(SEED, 5, k), 20_000, k):
+            assert tile.strides[0] > tile.shape[1] * tile.strides[1]
+
+
 def test_sorted_tiles_interleaved_streams():
-    # each generator keeps its own buffers, as concurrent blocks need
+    # each generator keeps its own buffers, as concurrent blocks need; k = 20
+    # takes narrower tiles, so its stream runs on after the k = 5 one ends
     n = 3 * _TILE + 5
     streams = {(6, 5): [], (7, 20): []}
     gens = {key: _sorted_tiles(block_generator(SEED, *key), n, key[1]) for key in streams}
-    for step in zip(*gens.values()):
-        for key, (start, tile) in zip(streams, step):
-            streams[key].append((start, tile.copy()))
+    for step in itertools.zip_longest(*gens.values()):
+        for key, item in zip(streams, step):
+            if item is not None:
+                streams[key].append((item[0], item[1].copy()))
     for (stream, k), tiles in streams.items():
         expected = np.sort(block_generator(SEED, stream, k).random((n, k)), axis=1)
         assert np.array_equal(_tiles_as_rows(tiles, n, k), expected)
@@ -233,6 +254,36 @@ def test_uk_integrand_matches_row_wise_formula(v):
         for _, tile in _sorted_tiles(block_generator(SEED, 6, k), 10_000, k):
             assert np.array_equal(_uk_integrand(tile, k, v),
                                   _uk_integrand_row_wise(tile.T, k, v))
+
+
+def _uk_integrand_dense(tile, k, v):
+    # the form that held v * tile and its 2^ for the whole tile, kept as the
+    # reference for the row-by-row one
+    cols = v * tile
+    if v <= 500.0:
+        pw = np.exp2(cols)
+        weights = np.exp2(-np.arange(k + 1, dtype=np.float64))
+        partial = np.zeros(tile.shape[1])
+        best = np.ones(tile.shape[1])
+        for j in range(k):
+            partial += pw[j]
+            np.minimum(best, (partial + 1.0) * weights[j + 1], out=best)
+        return best
+    log_partial = cols[0]
+    best = np.zeros(tile.shape[1])
+    for j in range(k):
+        if j:
+            log_partial = np.logaddexp2(log_partial, cols[j])
+        np.minimum(best, np.logaddexp2(log_partial, 0.0) - (j + 1.0), out=best)
+    return np.exp2(best)
+
+
+@pytest.mark.parametrize("v", (8.0, 15, 500.0, 600.0, 5_000.0))
+def test_uk_integrand_matches_the_dense_form(v):
+    # k = 12 and 20 take tiles narrower than _TILE
+    for k in (1, 2, 5, 12, 20):
+        for _, tile in _sorted_tiles(block_generator(SEED, 9, k), 10_000, k):
+            assert np.array_equal(_uk_integrand(tile, k, v), _uk_integrand_dense(tile, k, v))
 
 
 @pytest.mark.parametrize("u, v, k", [
@@ -481,9 +532,9 @@ def test_t_region_and_uk_match_golden_values():
 
 
 def test_mc_blocks_peak_memory():
-    # a block is drawn and sorted one tile at a time, so its peak is a few
-    # (k, _TILE) buffers, not the (n, k) draws of a whole block (20 MiB at
-    # k = 20)
+    # a block is drawn and sorted one tile at a time, so its peak is a tile
+    # and uk_mc's one value per sample, not the (n, k) draws of a whole block
+    # (20 MiB at k = 20)
     specs = [BarrierSpec(20, 20.0, 1.5, 1.0 / 7.0)]
     barrier_events_mc(specs, 10, SEED)  # first-call imports are not the kernel's
     tracemalloc.start()
@@ -497,3 +548,30 @@ def test_mc_blocks_peak_memory():
         tracemalloc.stop()
     assert barrier_peak < 4 << 20, barrier_peak
     assert uk_peak < 6 << 20, uk_peak
+
+
+def test_mc_kernels_hold_one_bounded_tile():
+    # each kernel holds one tile of at most _CELLS doubles (512 KiB), a draw
+    # chunk of at most _TILE and a few rows: under 1 MiB, where (k, _TILE)
+    # tiles with a (_TILE, k) draw buffer and a whole-tile v * xi take
+    # 1.15-3.47 MiB
+    kernels = {
+        "barrier k=20": lambda n: barrier_events_mc([BarrierSpec(20, 20.0, 1.5, 1.0 / 7.0)],
+                                                    n, SEED),
+        "qk k=8": lambda n: qk_mc(1.0, 9.0, 8, n, SEED),
+        "Y_k k=10": lambda n: vol_yk_mc(10, 12.0, 3.0, 1, n, SEED),
+        "U_k k=12 v=15": lambda n: uk_mc(12, 15.0, n, SEED),
+        "U_k k=12 v=600": lambda n: uk_mc(12, 600.0, n, SEED),
+    }
+    for run in kernels.values():
+        run(10)  # first-call imports are not the kernel's
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, run in kernels.items():
+            tracemalloc.reset_peak()
+            run(20_000)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(peak < 1.25 * 2**20 for peak in peaks.values()), peaks

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -99,6 +100,11 @@ def test_make_prime_set_rejects_non_integral_parameters():
     ps = make_prime_set("congruence", 100, modulus=4.0, residues=[1.0])
     assert ps.params == {"modulus": 4, "residues": [1]}
     assert make_prime_set("thinned", 100, target_density=0.5, seed=7.0).params["seed"] == 7
+    # no seed is seed 0, the key every manifest records for it
+    unseeded = make_prime_set("thinned", 10**4, target_density=0.5)
+    assert unseeded.params["seed"] == 0
+    assert np.array_equal(unseeded.members,
+                          make_prime_set("thinned", 10**4, target_density=0.5, seed=0).members)
 
 
 @pytest.mark.parametrize("kind,kwargs", [
@@ -133,6 +139,9 @@ def test_make_prime_set_rejects_non_finite_integers(kind, kwargs):
     ("congruence", {"modulus": 4, "residues": [1], "target_density": 0.5}),
     ("thinned", {"target_density": 0.5, "modulus": 4, "residues": (1,)}),
     ("thinned", {"target_density": 0.5, "residues": (1,)}),
+    ("all", {"seed": 5}),
+    ("all", {"seed": 0}),
+    ("congruence", {"modulus": 4, "residues": [1], "seed": 5}),
 ])
 def test_make_prime_set_checks_every_parameter_before_it_sieves(monkeypatch, kind, kwargs):
     def forbidden(limit):
@@ -141,6 +150,23 @@ def test_make_prime_set_checks_every_parameter_before_it_sieves(monkeypatch, kin
     monkeypatch.setattr(primes, "sieve_primes", forbidden)
     with pytest.raises(ValueError):
         make_prime_set(kind, **{"limit": 10**8, **kwargs})
+
+
+def test_prime_sets_build_under_a_profile_hook():
+    # a profile hook holds a reference to each array whose C method it sees,
+    # so the in-place shrinks must not count references
+    expected = [sieve_primes(1000), make_prime_set("congruence", 10**5, modulus=4,
+                                                   residues=(1,)).members]
+    previous = sys.getprofile()
+    sys.setprofile(lambda *args: None)
+    try:
+        got = [sieve_primes(1000), make_prime_set("congruence", 10**5, modulus=4,
+                                                  residues=(1,)).members]
+    finally:
+        sys.setprofile(previous)
+    for members, want in zip(got, expected):
+        assert members.base is None
+        assert np.array_equal(members, want)
 
 
 def test_sieve_rejects_tiny_limit():
