@@ -102,11 +102,10 @@ def merged_config(defaults: dict, cfg: dict, experiment: str) -> dict:
 def _typed(val, default, where: str):
     """val as the type of one scalar default, or a ConfigError naming where."""
     kind = type(default)
-    if kind in (bool, str):
-        if isinstance(val, kind):
+    if kind is str:
+        if isinstance(val, str):
             return val
-        raise ConfigError(f"{where} must be "
-                          f"{'true or false' if kind is bool else 'a string'}, got {val!r}")
+        raise ConfigError(f"{where} must be a string, got {val!r}")
     if isinstance(val, numbers.Real) and not isinstance(val, bool):
         try:
             if math.isfinite(val) and (kind is float or val == int(val)):

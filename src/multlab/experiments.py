@@ -30,6 +30,7 @@ from .config import ConfigError, merged_config
 from .counting import (AQ_METHOD, HQ_METHODS, MAX_N_AQ, MAX_X_EXHAUSTIVE, aq_curve, count_hq,
                        count_sq)
 from .orderstats import (
+    MAX_MC_K,
     YK_MU,
     BarrierSpec,
     barrier_events_mc,
@@ -65,8 +66,6 @@ def resolve_prime_set(desc: str, limit: int, seed: int = 0) -> PrimeSet:
             return make_prime_set("thinned", limit,
                                   target_density=float(parts[1]), seed=key)
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"bad prime-set descriptor {desc!r}: {exc}") from exc
     raise ConfigError(f"unknown prime-set descriptor {desc!r} "
                       "(expected all | congruence:M:r1+r2 | thinned:D[:SEED])")
@@ -169,7 +168,6 @@ class _Reporter:
 
 HQ_SCAN_DEFAULTS = {
     "prime_sets": ["all", "congruence:4:1"],
-    "limit": 10_000_000,
     "x_grid": [10_000_000.0],
     "y_grid": [100.0, 316.22776601683796, 1000.0],
     "z_factor": 2.0,
@@ -180,13 +178,9 @@ HQ_SCAN_DEFAULTS = {
 
 def run_hq_scan(cfg: dict, rep: _Reporter) -> None:
     """Brute-force H_Q(x, y, z_factor*y) against the predictor over a grid."""
-    x_grid, y_grid, limit, zf = cfg["x_grid"], cfg["y_grid"], cfg["limit"], cfg["z_factor"]
-    if limit > MAX_X_BITMAP:
-        raise ConfigError(f"hq-scan: limit capped at {MAX_X_BITMAP}, got {limit}")
-    if limit < AUDIT_X_MIN:  # the density audit starts its grid there
-        raise ConfigError(f"hq-scan: limit must be at least {AUDIT_X_MIN}, got {limit}")
-    if limit < max(x_grid):
-        raise ConfigError(f"hq-scan: limit {limit} below max x {max(x_grid)}")
+    x_grid, y_grid, zf = cfg["x_grid"], cfg["y_grid"], cfg["z_factor"]
+    if max(x_grid) > MAX_X_BITMAP:
+        raise ConfigError(f"hq-scan: x capped at {MAX_X_BITMAP}, got {max(x_grid)}")
     if not (min(x_grid) >= max(y_grid) and min(y_grid) > math.e):
         raise ConfigError(f"hq-scan: need every x >= every y > e, got x_grid "
                           f"{x_grid}, y_grid {y_grid}")
@@ -198,6 +192,7 @@ def run_hq_scan(cfg: dict, rep: _Reporter) -> None:
     if cfg["method"] == "exhaustive" and max(x_grid) > MAX_X_EXHAUSTIVE:
         raise ConfigError(f"hq-scan: exhaustive method capped at x <= "
                           f"{MAX_X_EXHAUSTIVE}, got {max(x_grid)}")
+    limit = max(math.floor(max(x_grid)), AUDIT_X_MIN)  # the density audit's grid starts there
 
     rows = []
     method = cfg["method"]
@@ -278,8 +273,6 @@ POISSON_PHASE_DEFAULTS = {
     "lambda_grid": [50.0, 100.0, 110.0, 121.0],
     "v_grid": [50, 100],
     "epsilon": 0.1,
-    "include_regimes": True,
-    "include_gcurve": True,
     "delta_min": 0.3,
     "delta_max": 1.0,
     "delta_step": 0.01,
@@ -291,51 +284,46 @@ MAX_GCURVE_ROWS = 100_000  # the defaults give 71 rows of the delta curve
 
 def run_poisson_phase(cfg: dict, rep: _Reporter) -> None:
     """Regime-classification sweep plus the exponent curve behind the phase plot."""
-    if not (cfg["include_regimes"] or cfg["include_gcurve"]):
-        raise ConfigError("poisson-phase: both sections disabled, nothing to do")
+    lam_grid, v_grid, eps = cfg["lambda_grid"], cfg["v_grid"], cfg["epsilon"]
+    if not (min(lam_grid) > 0 and min(v_grid) >= 1 and 0 < eps < 1):
+        raise ConfigError("poisson-phase: need every lambda > 0, every v >= 1 "
+                          "and 0 < epsilon < 1")
+    d0, d1, step, lly = (cfg[key] for key in ("delta_min", "delta_max",
+                                              "delta_step", "loglog_y"))
+    if not (0.0 < d0 <= d1 <= 1.0 and step > 0 and lly > 0):
+        raise ConfigError("poisson-phase: need 0 < delta_min <= delta_max <= 1, "
+                          "delta_step > 0 and loglog_y > 0")
+    span = (d1 - d0) / step + 1e-9  # the curve has floor(span) + 1 rows
+    if not span < MAX_GCURVE_ROWS:
+        raise ConfigError(f"poisson-phase: delta curve capped at {MAX_GCURVE_ROWS} "
+                          f"rows, got delta_step {step!r}")
 
-    if cfg["include_regimes"]:
-        lam_grid, v_grid, eps = cfg["lambda_grid"], cfg["v_grid"], cfg["epsilon"]
-        if not (min(lam_grid) > 0 and min(v_grid) >= 1 and 0 < eps < 1):
-            raise ConfigError("poisson-phase: need every lambda > 0, every v >= 1 "
-                              "and 0 < epsilon < 1")
-        with rep.section("regimes"):
-            rows = []
-            for v in v_grid:
-                for lam in lam_grid:
-                    r = classify_regime(lam, v, eps)
-                    rows.append({
-                        "lambda": lam, "v": v, "theta": r.theta,
-                        "regime": r.regime, "exact_sum_log": r.log_exact_sum,
-                        "envelope_log": r.log_envelope, "ratio": r.ratio,
-                    })
-            rep.add_table("poisson_phase",
-                          ["lambda", "v", "theta", "regime", "exact_sum_log",
-                           "envelope_log", "ratio"],
-                          rows)
-
-    if cfg["include_gcurve"]:
-        d0, d1, step, lly = (cfg[key] for key in ("delta_min", "delta_max",
-                                                  "delta_step", "loglog_y"))
-        if not (0.0 < d0 <= d1 <= 1.0 and step > 0 and lly > 0):
-            raise ConfigError("poisson-phase: need 0 < delta_min <= delta_max <= 1, "
-                              "delta_step > 0 and loglog_y > 0")
-        span = (d1 - d0) / step + 1e-9  # the curve has floor(span) + 1 rows
-        if not span < MAX_GCURVE_ROWS:
-            raise ConfigError(f"poisson-phase: delta curve capped at {MAX_GCURVE_ROWS} "
-                              f"rows, got delta_step {step!r}")
-        count = int(math.floor(span)) + 1
-        with rep.section("gcurve"):
-            rows = []
-            for i in range(count):
-                d = min(d0 + i * step, 1.0)
+    with rep.section("regimes"):
+        rows = []
+        for v in v_grid:
+            for lam in lam_grid:
+                r = classify_regime(lam, v, eps)
                 rows.append({
-                    "delta": d, "g_exponent": g_exponent(d),
-                    "e_factor": e_factor(lly, d), "loglog_y": lly,
+                    "lambda": lam, "v": v, "theta": r.theta,
+                    "regime": r.regime, "exact_sum_log": r.log_exact_sum,
+                    "envelope_log": r.log_envelope, "ratio": r.ratio,
                 })
-            rep.add_table("poisson_phase_gcurve",
-                          ["delta", "g_exponent", "e_factor", "loglog_y"],
-                          rows)
+        rep.add_table("poisson_phase",
+                      ["lambda", "v", "theta", "regime", "exact_sum_log",
+                       "envelope_log", "ratio"],
+                      rows)
+
+    with rep.section("gcurve"):
+        rows = []
+        for i in range(int(math.floor(span)) + 1):
+            d = min(d0 + i * step, 1.0)
+            rows.append({
+                "delta": d, "g_exponent": g_exponent(d),
+                "e_factor": e_factor(lly, d), "loglog_y": lly,
+            })
+        rep.add_table("poisson_phase_gcurve",
+                      ["delta", "g_exponent", "e_factor", "loglog_y"],
+                      rows)
 
 
 SMIRNOV_DEFAULTS = {
@@ -383,9 +371,9 @@ def run_smirnov(cfg: dict, rep: _Reporter) -> None:
         raise ConfigError(f"smirnov: yk_m must be >= 0, got {ym}")
     yk_points = [(k, f * k) for k in cfg["yk_k"] for f in cfg["yk_v_factor"]]
     for k, vt in yk_points:
-        if not 1 <= k <= vt:
+        if not 1 <= k <= min(vt, MAX_MC_K):
             raise ConfigError(f"smirnov: Y_k point k={k}, v_tilde={vt} "
-                              "needs 1 <= k <= v_tilde")
+                              f"needs 1 <= k <= v_tilde and k <= {MAX_MC_K}")
 
     rows = []
     rep.threads_used = rep.threads  # every MC kernel below runs on rep.threads

@@ -11,7 +11,8 @@ odd-even merge sort) over whole rows, so order statistic j is a contiguous
 row; each estimator reduces a tile, row by row, before drawing the next.
 Every hit event is a box lower <= xi <= upper of order-statistic bounds,
 counted by one kernel, _box_hits, which tests all the boxes of one k against
-one sorted stream.
+one sorted stream.  The U_k integrand sums 2^(v xi_j) in floats at every v:
+an overflowed partial sum gives a term of +inf, which the j = 0 term, 1, beats.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .rng import run_blocks
 YK_MU = 1.0 / 7.0  # exponent in the strong-barrier term min(i, k-i)^mu
 YK_SAFETY = 0.5  # the 1/2 of the closed-form Y_k volume bound
 MAX_EXACT_K = 10  # recursive volume integration cap
+MAX_MC_K = 170  # k! must be a finite float: 171! > 1.8e308
 _TILE = 8192  # samples per network pass, and doubles per draw: each row stays in cache
 _CELLS = 1 << 16  # doubles per tile (512 KiB), so a large k takes narrower tiles
 
@@ -310,6 +312,8 @@ def _yk_box(k: int, v_tilde: float, c_shift: float,
 
 def yk_bound(k: int, v_tilde: float) -> float:
     """Closed-form lower bound (v - k + 1)/(2 v k!) on the volume of Y_k."""
+    if k > MAX_MC_K:
+        raise ValueError(f"need k <= {MAX_MC_K} for a finite k!, got {k}")
     return YK_SAFETY * (v_tilde - k + 1) / (v_tilde * math.factorial(k))
 
 
@@ -320,16 +324,14 @@ def vol_yk_mc(k: int, v_tilde: float, c_shift: float, m_offset: int,
         raise ValueError(f"v_tilde must be finite, got {v_tilde}")
     if not math.isfinite(c_shift):
         raise ValueError(f"c_shift must be finite, got {c_shift}")
-    if not 1 <= k <= math.ceil(v_tilde):
-        raise ValueError(f"need 1 <= k <= ceil(v_tilde), got k={k}, v_tilde={v_tilde}")
+    if not 1 <= k <= min(math.ceil(v_tilde), MAX_MC_K):
+        raise ValueError(f"need 1 <= k <= ceil(v_tilde) and k <= {MAX_MC_K}, "
+                         f"got k={k}, v_tilde={v_tilde}")
     if m_offset < 0:
         raise ValueError(f"m_offset must be >= 0, got {m_offset}")
     lower, upper = _yk_box(k, v_tilde, c_shift, m_offset)
     (hits,) = _box_hits(lower[None], upper[None], n_samples, seed, 303, threads).tolist()
     return McEstimate.from_hits(hits, n_samples, seed, k)
-
-
-_LOG_DOMAIN_V = 500.0
 
 
 def _uk_integrand(tile: np.ndarray, k: int, v: float) -> np.ndarray:
@@ -338,27 +340,21 @@ def _uk_integrand(tile: np.ndarray, k: int, v: float) -> np.ndarray:
 
     One pass over the rows of the tile keeps the partial sum S_j and the
     running minimum; each v xi_j is formed in one reused row buffer, never
-    for the whole tile.  The j = 0 term is exactly 1.
+    for the whole tile.  The j = 0 term is exactly 1.  Once v xi_j nears
+    1024 a partial sum can overflow to +inf; its terms are then +inf, which
+    never win the minimum, and as every weight 2^-j is nonzero (j <= k < 1075)
+    no 0 * inf or inf - inf arises, so the overflow is harmless and silenced.
     """
     row = np.empty(tile.shape[1])
-    if v <= _LOG_DOMAIN_V:
-        weights = np.exp2(-np.arange(k + 1, dtype=np.float64))
-        partial = np.zeros(tile.shape[1])
-        best = np.ones(tile.shape[1])
+    weights = np.exp2(-np.arange(k + 1, dtype=np.float64))
+    partial = np.zeros(tile.shape[1])
+    best = np.ones(tile.shape[1])
+    with np.errstate(over="ignore"):
         for j in range(k):
             np.multiply(tile[j], v, out=row)
             partial += np.exp2(row, out=row)
             np.minimum(best, (partial + 1.0) * weights[j + 1], out=best)
-        return best
-    # log2-domain: S_j tracked as log2 of the partial sum
-    log_partial = np.multiply(tile[0], v)
-    best = np.zeros(tile.shape[1])  # j = 0 gives exactly 1
-    for j in range(k):
-        if j:
-            np.multiply(tile[j], v, out=row)
-            np.logaddexp2(log_partial, row, out=log_partial)
-        np.minimum(best, np.logaddexp2(log_partial, 0.0) - (j + 1.0), out=best)
-    return np.exp2(best)
+    return best
 
 
 def uk_mc(k: int, v: float, n_samples: int, seed: int, threads: int = 1) -> McEstimate:
@@ -366,8 +362,8 @@ def uk_mc(k: int, v: float, n_samples: int, seed: int, threads: int = 1) -> McEs
 
     The j = 0 term caps the integrand at 1, so U_1(v) = 1 exactly for any v.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not 1 <= k <= MAX_MC_K:  # the mean is divided by k!
+        raise ValueError(f"need 1 <= k <= {MAX_MC_K}, got {k}")
     if not math.isfinite(v):
         raise ValueError(f"v must be finite, got {v}")
 

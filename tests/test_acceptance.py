@@ -15,7 +15,6 @@ import pytest
 
 from multlab import acceptance
 from multlab.orderstats import BarrierSpec, barrier_events_mc
-from multlab.rng import block_generator
 
 
 @pytest.fixture(scope="module")
@@ -109,9 +108,9 @@ def test_lw_names_the_smallest_violating_a(ctx, monkeypatch):
 
 
 def test_barrier_peak_memory_and_details(ctx):
-    # the containment check draws and sorts CONTAINMENT_CHUNK rows at a time,
-    # not its 100000 x 20 samples in one piece (30.5 MiB traced); the first
-    # call's lazy imports stay out of the peak
+    # the MC estimates hold one tile at a time, and containment is checked on
+    # the barriers themselves, not on samples; the first call's lazy imports
+    # stay out of the peak
     barrier_events_mc([BarrierSpec(20, 20.0, 1.5, 1.0 / 7.0)], 10, ctx.seed)
     tracemalloc.start()
     try:
@@ -121,32 +120,34 @@ def test_barrier_peak_memory_and_details(ctx):
         tracemalloc.stop()
     assert peak < 8 << 20, peak
     assert result == (True, "C=5: 1.0000, C=10: 1.0000, C=20: 1.0000, C=40: 1.0000; "
-                            "containment exact on 100000 samples")
+                            "strong barrier >= weak barrier in every coordinate")
 
 
-class _RecordingGenerator:
-    def __init__(self, rng):
-        self.rng, self.draws = rng, []
+def _plant_containment_gap(monkeypatch, c_shift, shift):
+    # the strong barrier of the C = c_shift spec at i = 10 set `shift` below
+    # the weak one, which lets B_strong hold outside B
+    thresholds = acceptance.barrier_thresholds
 
-    def random(self, *, out):
-        self.rng.random(out=out)
-        self.draws.append(out.copy())
+    def planted(spec):
+        weak, strong = thresholds(spec)
+        if spec.c_shift == c_shift:
+            strong = strong.copy()
+            strong[9] = weak[9] - shift
+        return weak, strong
 
-
-def test_barrier_containment_checks_the_one_piece_stream(ctx, monkeypatch):
-    rec = _RecordingGenerator(block_generator(ctx.seed, 909, 0))
-    monkeypatch.setattr(acceptance, "BARRIER_SAMPLES", 20_000)
-    monkeypatch.setattr(acceptance, "block_generator", lambda *args: rec)
-    assert acceptance._crit_barrier(ctx)[0]
-    one_piece = block_generator(ctx.seed, 909, 0).random((acceptance.CONTAINMENT_SAMPLES, 20))
-    assert np.array_equal(np.concatenate(rec.draws), one_piece)
+    monkeypatch.setattr(acceptance, "barrier_thresholds", planted)
 
 
 def test_barrier_containment_sees_a_violation(ctx, monkeypatch):
-    # a strong barrier one below the weak one holds on samples outside B
-    thresholds = acceptance.barrier_thresholds
-    monkeypatch.setattr(acceptance, "BARRIER_SAMPLES", 20_000)
-    monkeypatch.setattr(acceptance, "barrier_thresholds",
-                        lambda spec: (thresholds(spec)[0], thresholds(spec)[0] - 1.0))
+    # every spec is checked, not only the first (C = 5)
+    _plant_containment_gap(monkeypatch, 10.0, 1.0)
     assert acceptance._crit_barrier(ctx) == (
-        False, "containment violated: strong event outside weak event")
+        False, "containment violated at C=10: strong barrier below the weak one")
+
+
+def test_barrier_containment_sees_a_gap_no_sample_finds(ctx, monkeypatch):
+    # the check is on the barriers, not on samples, which would all but
+    # never land in a gap of 1e-9
+    _plant_containment_gap(monkeypatch, 5.0, 1e-9)
+    assert acceptance._crit_barrier(ctx) == (
+        False, "containment violated at C=5: strong barrier below the weak one")

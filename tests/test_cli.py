@@ -11,7 +11,6 @@ from multlab.cli import build_parser, main
 
 HQ_MINI = """
 prime_sets = [all]
-limit = 20000
 x_grid = [20000]
 y_grid = [20.0, 50.0]
 z_factor = 2.0
@@ -128,7 +127,7 @@ MINI_CONFIGS = {
     "hq-scan": HQ_MINI,
     "smirnov": SMIRNOV_MINI,
     "aq-dichotomy": "prime_sets = [all]\nn_grid = [100]\n",
-    "poisson-phase": "lambda_grid = [10.0]\nv_grid = [10]\ninclude_gcurve = false\n",
+    "poisson-phase": "lambda_grid = [10.0]\nv_grid = [10]\n",
 }
 
 
@@ -142,8 +141,7 @@ MINI_CONFIGS = {
     ("hq-scan", 'method = "fast"'),
     ("hq-scan", "seed = abc"),
     ("hq-scan", "seed = 1.5"),
-    ("hq-scan", "limit = 3000000\nx_grid = [3000000]\nmethod = exhaustive"),
-    ("hq-scan", "limit = 10\nx_grid = [10]\ny_grid = [5]"),
+    ("hq-scan", "x_grid = [3000000]\nmethod = exhaustive"),
     ("smirnov", "daniels_u = [1.5]"),
     ("smirnov", "daniels_samples = 0"),
     ("smirnov", "barrier_k = 0"),
@@ -151,26 +149,40 @@ MINI_CONFIGS = {
     ("smirnov", "seed = abc"),
     ("smirnov", "barrier_k = 1.9"),
     ("smirnov", "barrier_m_offset = 0"),
+    ("smirnov", "yk_k = [171]\nyk_v_factor = [1.0]"),
     ("aq-dichotomy", "slope_threshold = flat"),
     ("aq-dichotomy", "n_grid = [100.7]"),
     ("poisson-phase", "lambda_grid = [0]"),
     ("poisson-phase", "v_grid = [ten]"),
     ("poisson-phase", "include_gcurve = False"),
-    ("poisson-phase", "include_gcurve = true\ndelta_step = 1e-12"),
+    ("poisson-phase", "delta_step = 1e-12"),
 ))
 def test_bad_config_values_exit_2(tmp_path, capsys, name, line):
     # each of these once reached a kernel as a bare ValueError or TypeError, or
-    # ran on a value other than the one given (include_gcurve = False wrote the
-    # curve, seed = 1.5 was recorded but keyed sets by 1, n_grid = [100.7]
-    # counted N = 100, barrier_m_offset changed nothing, delta_step = 1e-12 asked
-    # for 7e11 rows, limit = 10 reached the density audit, whose grid starts at
-    # 16, and a y below e in a grid whose largest y passed died in the predictor
-    # with exit 3); now the config boundary names the value (later lines win)
+    # ran on a value other than the one given (seed = 1.5 was recorded but keyed
+    # sets by 1, n_grid = [100.7] counted N = 100, barrier_m_offset changed
+    # nothing, delta_step = 1e-12 asked for 7e11 rows, yk_k = [171] drew every
+    # sample before 171! overflowed with exit 3, and a y below e in a grid whose
+    # largest y passed died in the predictor with exit 3); now the config
+    # boundary names the value (later lines win).  limit and include_gcurve are
+    # keys no more: a config that still sets one is told so
     cfg = write_cfg(tmp_path, MINI_CONFIGS[name] + line + "\n")
     assert main([name, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert len(err.splitlines()) == 1
+    if line.startswith(("limit", "include_gcurve")):
+        assert "unknown config key" in err
+
+
+def test_hq_scan_builds_its_sets_up_to_the_largest_x(tmp_path):
+    # or up to 16, where the density audit's grid starts, if x is smaller
+    for x, limit in (("10", 16), ("20000.5", 20000)):
+        cfg = write_cfg(tmp_path, f"prime_sets = [all]\nx_grid = [{x}]\ny_grid = [5]\n")
+        out = tmp_path / x
+        assert main(["hq-scan", "--config", str(cfg), "--out", str(out)]) == 0
+        man = json.loads((out / "hq_scan_manifest.json").read_text())
+        assert man["prime_sets"][0]["limit"] == limit
 
 
 class _Overran(BaseException):
@@ -219,7 +231,7 @@ def test_hq_scan_z_past_float_range_counts_up_to_x(tmp_path):
     # z = 1e305 * 5e4 overflows to inf, which counts divisors in (y, x]
     counts = []
     for z_factor in ("1e305", "2.0"):
-        cfg = write_cfg(tmp_path, "prime_sets = [all]\nlimit = 100000\n"
+        cfg = write_cfg(tmp_path, "prime_sets = [all]\n"
                         "x_grid = [100000]\ny_grid = [50000.0]\n"
                         f"z_factor = {z_factor}\n")
         out = tmp_path / z_factor
@@ -245,7 +257,7 @@ def test_aq_dichotomy_single_point(tmp_path):
 def test_poisson_phase_single_point(tmp_path):
     cfg = write_cfg(
         tmp_path,
-        "lambda_grid = [10.0]\nv_grid = [10]\ninclude_gcurve = false\nseed = 3\n",
+        "lambda_grid = [10.0]\nv_grid = [10]\nseed = 3\n",
     )
     out = tmp_path / "pp"
     assert main(["poisson-phase", "--config", str(cfg), "--out", str(out)]) == 0
@@ -253,19 +265,24 @@ def test_poisson_phase_single_point(tmp_path):
     lines = body.splitlines()
     assert len(lines) == 2  # header + one grid point
     assert lines[1].split(",")[3] == "iii"
-    assert not (out / "poisson_phase_gcurve.csv").exists()
+    # both tables, always: the delta curve at its default grid, 0.3 to 1.0
+    gcurve = (out / "poisson_phase_gcurve.csv").read_text(encoding="utf-8")
+    assert len(gcurve.splitlines()) == 1 + 71
+    man = json.loads((out / "poisson_phase_manifest.json").read_text())
+    assert man["files"].keys() == {"poisson_phase.csv", "poisson_phase_gcurve.csv"}
 
 
 def test_poisson_phase_json_format(tmp_path):
     cfg = write_cfg(
         tmp_path,
-        "lambda_grid = [10.0]\nv_grid = [10]\ninclude_gcurve = false\nseed = 3\n",
+        "lambda_grid = [10.0]\nv_grid = [10]\nseed = 3\n",
     )
     out = tmp_path / "ppj"
     assert main(["poisson-phase", "--config", str(cfg), "--out", str(out),
                  "--format", "json"]) == 0
     rows = json.loads((out / "poisson_phase.json").read_text())
     assert len(rows) == 1 and rows[0]["regime"] == "iii"
+    assert (out / "poisson_phase_gcurve.json").exists()
     assert not (out / "poisson_phase.csv").exists()
 
 

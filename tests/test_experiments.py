@@ -104,15 +104,17 @@ def test_aq_dichotomy_rejects_n_above_cap(tmp_path):
         run_experiment("aq-dichotomy", {"n_grid": [MAX_N_AQ + 1]}, tmp_path)
 
 
-def test_hq_scan_rejects_limit_above_bitmap_cap(tmp_path):
-    # raised before any prime set is sieved to the limit
-    with pytest.raises(ConfigError, match="hq-scan: limit capped"):
-        run_experiment("hq-scan", {"limit": MAX_X_BITMAP + 1}, tmp_path)
+def test_hq_scan_rejects_x_above_bitmap_cap(tmp_path):
+    # raised before any prime set is sieved up to x
+    with pytest.raises(ConfigError, match="hq-scan: x capped"):
+        run_experiment("hq-scan", {"x_grid": [MAX_X_BITMAP + 1.0]}, tmp_path)
 
 
 @pytest.mark.parametrize("step", (1e-12, 5e-324, 6.9e-6))
 def test_poisson_phase_caps_the_delta_curve(tmp_path, step):
     # rejected before any row is built: 1e-12 would ask for about 7e11 rows,
-    # 5e-324 for an infinite span and 6.9e-6 for 101,450, just above the cap
+    # 5e-324 for an infinite span and 6.9e-6 for 101,450, just above the cap;
+    # and before the regimes table is written
     with pytest.raises(ConfigError, match="delta curve capped at 100000 rows"):
         run_experiment("poisson-phase", {"delta_step": step}, tmp_path)
+    assert not list(tmp_path.iterdir())

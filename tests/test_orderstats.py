@@ -31,6 +31,7 @@ from multlab.orderstats import (
     _uk_integrand,
     _yk_box,
     barrier_thresholds,
+    yk_bound,
 )
 from multlab.rng import BLOCK, block_generator
 
@@ -237,14 +238,10 @@ def test_network_sorts_every_binary_vector(k):
 def _uk_integrand_row_wise(s, k, v):
     # the cumsum-over-rows formula the column walk replaced, kept as its oracle
     n = s.shape[0]
-    if v <= 500.0:
-        cs = np.cumsum(np.exp2(v * s), axis=1)
-        sums = np.concatenate([np.zeros((n, 1)), cs], axis=1)
-        weights = np.exp2(-np.arange(k + 1, dtype=np.float64))
-        return np.min((sums + 1.0) * weights, axis=1)
-    log_cs = np.logaddexp2.accumulate(v * s, axis=1)
-    log_vals = np.logaddexp2(log_cs, 0.0) - np.arange(1, k + 1, dtype=np.float64)
-    return np.exp2(np.minimum(np.min(log_vals, axis=1), 0.0))
+    cs = np.cumsum(np.exp2(v * s), axis=1)
+    sums = np.concatenate([np.zeros((n, 1)), cs], axis=1)
+    weights = np.exp2(-np.arange(k + 1, dtype=np.float64))
+    return np.min((sums + 1.0) * weights, axis=1)
 
 
 @pytest.mark.parametrize("v", (8.0, 600.0))
@@ -259,23 +256,15 @@ def test_uk_integrand_matches_row_wise_formula(v):
 def _uk_integrand_dense(tile, k, v):
     # the form that held v * tile and its 2^ for the whole tile, kept as the
     # reference for the row-by-row one
-    cols = v * tile
-    if v <= 500.0:
-        pw = np.exp2(cols)
-        weights = np.exp2(-np.arange(k + 1, dtype=np.float64))
-        partial = np.zeros(tile.shape[1])
-        best = np.ones(tile.shape[1])
-        for j in range(k):
-            partial += pw[j]
-            np.minimum(best, (partial + 1.0) * weights[j + 1], out=best)
-        return best
-    log_partial = cols[0]
-    best = np.zeros(tile.shape[1])
+    with np.errstate(over="ignore"):
+        pw = np.exp2(v * tile)
+    weights = np.exp2(-np.arange(k + 1, dtype=np.float64))
+    partial = np.zeros(tile.shape[1])
+    best = np.ones(tile.shape[1])
     for j in range(k):
-        if j:
-            log_partial = np.logaddexp2(log_partial, cols[j])
-        np.minimum(best, np.logaddexp2(log_partial, 0.0) - (j + 1.0), out=best)
-    return np.exp2(best)
+        partial += pw[j]
+        np.minimum(best, (partial + 1.0) * weights[j + 1], out=best)
+    return best
 
 
 @pytest.mark.parametrize("v", (8.0, 15, 500.0, 600.0, 5_000.0))
@@ -284,6 +273,29 @@ def test_uk_integrand_matches_the_dense_form(v):
     for k in (1, 2, 5, 12, 20):
         for _, tile in _sorted_tiles(block_generator(SEED, 9, k), 10_000, k):
             assert np.array_equal(_uk_integrand(tile, k, v), _uk_integrand_dense(tile, k, v))
+
+
+def _uk_integrand_log2(tile, k, v):
+    # S_j tracked as log2 of the partial sum, the form that once ran for
+    # v > 500, kept as a reference for the float sum at large v
+    log_partial = v * tile[0]
+    best = np.zeros(tile.shape[1])  # j = 0 gives exactly 1
+    for j in range(k):
+        if j:
+            log_partial = np.logaddexp2(log_partial, v * tile[j])
+        best = np.minimum(best, np.logaddexp2(log_partial, 0.0) - (j + 1.0))
+    return np.exp2(best)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("v", (600.0, 1024.0, 1025.0, 5_000.0, 1e6, 1e300))
+def test_uk_integrand_matches_the_log2_form_at_large_v(v):
+    # partial sums overflow to +inf from v xi_j ~ 1024 on, silently, and the
+    # minimum stays finite; k = 170 is the largest k whose k! is a float
+    for k in (1, 2, 3, 8, 20, 50, 170):
+        for _, tile in _sorted_tiles(block_generator(SEED, 10, k), 3_000, k):
+            got, ref = _uk_integrand(tile, k, v), _uk_integrand_log2(tile, k, v)
+            assert np.all(np.abs(got - ref) <= 1e-15 * ref), (k, v)
 
 
 @pytest.mark.parametrize("u, v, k", [
@@ -484,6 +496,24 @@ def test_vol_yk_validation():
             vol_yk_mc(3, 4.0, c_shift, 0, 1000, SEED)
 
 
+def test_k_past_170_fails_before_sampling(monkeypatch):
+    # 171! overflows a float: uk_mc and vol_yk_mc raised OverflowError only
+    # after drawing every sample, and yk_bound raised it too
+    assert math.isfinite(uk_mc(170, 200.0, 10, SEED).estimate)
+    assert math.isfinite(vol_yk_mc(170, 200.0, 40.0, 5, 10, SEED).estimate)
+    assert math.isfinite(yk_bound(170, 200.0))
+
+    def sampled(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr("multlab.orderstats.run_blocks", sampled)
+    for call in (lambda: uk_mc(171, 200.0, 10, SEED),
+                 lambda: vol_yk_mc(171, 200.0, 40.0, 5, 10, SEED),
+                 lambda: yk_bound(171, 200.0)):
+        with pytest.raises(ValueError, match="k <= 170"):
+            call()
+
+
 def test_strong_barrier_geometric_sum():
     # on Y_k the barrier gives sum_i 2^(i - v xi_i) <= 2^C sum_i 2^(-min(i,k-i)^(1/7))
     k, v_tilde, c_shift, m_offset = 12, 12.5, 6.0, 2
@@ -511,14 +541,15 @@ def test_uk_bounded_by_simplex_volume():
     assert est.estimate > 0
 
 
-def test_uk_log_domain_continuity():
-    # v = 500 runs the linear path, v just above runs the log2 path;
-    # same seed means the same sample set, so the two must agree closely
+def test_uk_is_continuous_in_v_and_checks_its_input():
+    # the same seed draws the same samples, so a step of 1e-7 in v moves the
+    # estimate by far less than 1e-9
     a = uk_mc(3, 500.0, 20_000, SEED)
     b = uk_mc(3, 500.0000001, 20_000, SEED)
     assert abs(a.estimate - b.estimate) <= 1e-9
-    with pytest.raises(ValueError):
-        uk_mc(0, 10.0, 100, SEED)
+    for k in (0, 171):  # 171! is past the float range
+        with pytest.raises(ValueError, match="need 1 <= k <= 170"):
+            uk_mc(k, 200.0, 100, SEED)
     for v in (math.nan, math.inf, -math.inf):  # nan gave a nan estimate
         with pytest.raises(ValueError, match="v must be finite"):
             uk_mc(2, v, 100, SEED)
